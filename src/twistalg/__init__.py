@@ -19,6 +19,7 @@ from .algebra import (
     pauli_cocycle,
     regular_representation,
     standard_contexts,
+    twists_isomorphic,
 )
 from .errors import ConsistencyError, InputError, NotCartanError
 from .groupoid import (
@@ -75,7 +76,6 @@ from .semigroups import (
     compatible,
     csum_closure,
     membership,
-    normalizer_semigroup,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .groupoid import FiniteGroupoid, is_bisection, klein_four, standard_fixtures
+from .groupoid import (
+    FiniteGroupoid,
+    IsoResult,
+    groupoids_isomorphic,
+    is_bisection,
+    klein_four,
+    standard_fixtures,
+)
 
 _EXACT_TURNS = {
     Fraction(0): 1 + 0j,
@@ -126,6 +133,25 @@ class Cocycle:
             f"{g}|{h}": {"turns": [p.turns.numerator, p.turns.denominator]}
             for (g, h), p in sorted(self.values.items())
         }
+
+
+def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = 10**6) -> IsoResult:
+    """Search for an isomorphism of the twists defined by two cocycles.
+
+    A groupoid isomorphism phi counts when it carries the cocycle exactly,
+    b(phi(g), phi(h)) == a(g, h) on every composable pair; `rejected` counts
+    the groupoid isomorphisms that do not.  Cocycles that differ only by a
+    coboundary are not identified.
+    """
+    zero = Fraction(0)
+    ta = {pair: p.turns for pair, p in a.values.items()}
+    tb = {pair: p.turns for pair, p in b.values.items()}
+    pairs = tuple(a.groupoid.compose)
+
+    def carries(m: dict[str, str]) -> bool:
+        return all(ta.get((g, h), zero) == tb.get((m[g], m[h]), zero) for g, h in pairs)
+
+    return groupoids_isomorphic(a.groupoid, b.groupoid, budget, accept=carries)
 
 
 def pauli_cocycle(v4: FiniteGroupoid) -> Cocycle:

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .algebra import TwistedAlgebra
+from .algebra import Cocycle, TwistedAlgebra, twists_isomorphic
 from .errors import InputError, NotCartanError
 from .fileio import (
+    cocycle_from_dict,
     content_hash,
     dumps,
     groupoid_from_dict,
     load_basis,
     load_groupoid_file,
 )
-from .groupoid import BudgetExhausted, _Budget, iter_isomorphisms, validate_groupoid
+from .groupoid import validate_groupoid
 from .reconstruction import reconstruct
 from .semigroups import SemigroupSpec
 from .suites import (
@@ -52,29 +53,15 @@ class RunConfig:
     iso_budget: int = 10**6
     semigroup: str = "monomial"
 
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "iso_budget": self.iso_budget,
-            "semigroup": self.semigroup,
-        }
 
-
-def _envelope(path: str, config: RunConfig) -> dict:
-    return {
-        "tool": {"name": "twistalg", "version": VERSION},
-        "config": config.to_dict(),
-        "input": {"name": Path(path).name, "sha256": content_hash(path)},
-    }
-
-
-def _emit(doc: dict, out: str | None) -> None:
-    text = dumps(doc)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _envelope(paths: list[str], config: RunConfig) -> dict:
+    doc = {"tool": {"name": "twistalg", "version": VERSION}, "config": asdict(config)}
+    inputs = [{"name": Path(p).name, "sha256": content_hash(p)} for p in paths]
+    if len(inputs) == 1:
+        doc["input"] = inputs[0]
     else:
-        sys.stdout.write(text)
+        doc["inputs"] = inputs
+    return doc
 
 
 def _load_context(path: str, config: RunConfig):
@@ -82,6 +69,8 @@ def _load_context(path: str, config: RunConfig):
     report = validate_groupoid(gpd)
     if not report.ok:
         raise InputError("invalid groupoid: " + report.violations[0].message)
+    if not gpd.elements:
+        raise InputError("groupoid has no elements")
     return TwistedAlgebra(gpd, cocycle, zero_tol=config.tolerance, name=gpd.name)
 
 
@@ -93,165 +82,76 @@ def _resolve_spec(ctx, config: RunConfig) -> SemigroupSpec:
     raise InputError(f"unknown --semigroup value {config.semigroup!r}")
 
 
-# -- commands -----------------------------------------------------------------------
+# -- commands: each returns (report body, exit code) and leaves errors to main -------
 
 
-def cmd_validate(path: str, config: RunConfig, out: str | None = None) -> int:
-    doc = _envelope(path, config)
-    try:
-        gpd, cocycle = load_groupoid_file(path)
-    except json.JSONDecodeError as exc:
-        doc["error"] = {"kind": "parse", "message": str(exc), "line": exc.lineno, "column": exc.colno}
-        _emit(doc, out)
-        return EXIT_INPUT
-    except InputError as exc:
-        doc["error"] = {"kind": "structure", "message": str(exc)}
-        _emit(doc, out)
-        return EXIT_INPUT
+def cmd_validate(path: str, config: RunConfig) -> tuple[dict, int]:
+    gpd, cocycle = load_groupoid_file(path)
     report = validate_groupoid(gpd)
-    doc["groupoid"] = report.to_dict()
     cocycle_violations = cocycle.violations() if report.ok else []
-    doc["cocycle"] = {"ok": not cocycle_violations, "violations": cocycle_violations}
     ok = report.ok and not cocycle_violations
-    doc["passed"] = ok
-    _emit(doc, out)
-    return EXIT_PASS if ok else EXIT_FAIL
+    body = {
+        "groupoid": report.to_dict(),
+        "cocycle": {"ok": not cocycle_violations, "violations": cocycle_violations},
+        "passed": ok,
+    }
+    return body, EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_reconstruct(path: str, config: RunConfig, out: str | None = None) -> int:
-    doc = _envelope(path, config)
-    try:
-        ctx = _load_context(path, config)
-        spec = _resolve_spec(ctx, config)
-    except json.JSONDecodeError as exc:
-        doc["error"] = {"kind": "parse", "message": str(exc), "line": exc.lineno, "column": exc.colno}
-        _emit(doc, out)
-        return EXIT_INPUT
-    except InputError as exc:
-        doc["error"] = {"kind": "input", "message": str(exc)}
-        _emit(doc, out)
-        return EXIT_INPUT
-    try:
-        report = reconstruct(ctx, spec, seed=config.seed, iso_budget=config.iso_budget,
-                             tolerance=config.tolerance)
-    except NotCartanError as exc:
-        doc["error"] = {"kind": "not-cartan", "failures": list(exc.failures)}
-        _emit(doc, out)
-        return EXIT_FAIL
-    doc["reconstruction"] = report.to_dict()
-    _emit(doc, out)
+def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
+    ctx = _load_context(path, config)
+    report = reconstruct(ctx, _resolve_spec(ctx, config), seed=config.seed,
+                         iso_budget=config.iso_budget, tolerance=config.tolerance)
     if report.isomorphism["status"] == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS if report.passed else EXIT_FAIL
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_PASS if report.passed else EXIT_FAIL
+    return {"reconstruction": report.to_dict()}, code
 
 
-def _load_report(path: str) -> dict:
+def _load_report(path: str, name: str) -> Cocycle:
+    """The recovered cocycle of a reconstruction report, on its rebuilt groupoid."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "reconstruction" not in doc:
-        raise InputError(f"{path} is not a reconstruction report")
-    rec = doc["reconstruction"]
-    if "rebuilt_groupoid" not in rec or "recovered_cocycle" not in rec:
-        raise InputError(f"{path} is missing the rebuilt groupoid")
-    return rec
+    rec = doc.get("reconstruction") if isinstance(doc, dict) else None
+    if not isinstance(rec, dict) or "rebuilt_groupoid" not in rec or "recovered_cocycle" not in rec:
+        raise InputError(f"{path} is not a reconstruction report with a rebuilt groupoid")
+    return cocycle_from_dict(groupoid_from_dict(rec["rebuilt_groupoid"], name),
+                             rec["recovered_cocycle"])
 
 
-def cmd_compare(path_a: str, path_b: str, config: RunConfig, out: str | None = None) -> int:
-    doc = {
-        "tool": {"name": "twistalg", "version": VERSION},
-        "config": config.to_dict(),
-        "inputs": [
-            {"name": Path(path_a).name, "sha256": content_hash(path_a)},
-            {"name": Path(path_b).name, "sha256": content_hash(path_b)},
-        ],
-    }
-    try:
-        rec_a, rec_b = _load_report(path_a), _load_report(path_b)
-        gpd_a = groupoid_from_dict(rec_a["rebuilt_groupoid"], "A")
-        gpd_b = groupoid_from_dict(rec_b["rebuilt_groupoid"], "B")
-    except (json.JSONDecodeError, InputError, KeyError) as exc:
-        doc["error"] = {"kind": "input", "message": str(exc)}
-        _emit(doc, out)
-        return EXIT_INPUT
-
-    def turns(rec):
-        return {
-            tuple(k.split("|")): Fraction(v["turns"][0], v["turns"][1]) % 1
-            for k, v in rec["recovered_cocycle"].items()
-        }
-
-    ta, tb = turns(rec_a), turns(rec_b)
-
-    budget = _Budget(config.iso_budget)
-    matched = None
-    found_groupoid_iso = False
-    try:
-        for mapping in iter_isomorphisms(gpd_a, gpd_b, budget):
-            found_groupoid_iso = True
-            ok = True
-            for (g, h) in gpd_a.compose:
-                lhs = ta.get((g, h), Fraction(0))
-                rhs = tb.get((mapping[g], mapping[h]), Fraction(0))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                matched = mapping
-                break
-    except BudgetExhausted:
-        doc["result"] = {"status": "inconclusive", "nodes_visited": budget.used}
-        _emit(doc, out)
-        return EXIT_INCONCLUSIVE
-    if matched is not None:
-        doc["result"] = {
-            "status": "isomorphic",
-            "mapping": dict(sorted(matched.items())),
-            "nodes_visited": budget.used,
-        }
-        _emit(doc, out)
-        return EXIT_PASS
-    doc["result"] = {
-        "status": "not_isomorphic",
-        "groupoids_isomorphic": found_groupoid_iso,
-        "nodes_visited": budget.used,
-    }
-    _emit(doc, out)
-    return EXIT_FAIL
+def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]:
+    iso = twists_isomorphic(_load_report(path_a, "A"), _load_report(path_b, "B"),
+                            config.iso_budget)
+    if iso.status == "inconclusive":
+        result, code = {"status": "inconclusive"}, EXIT_INCONCLUSIVE
+    elif iso.found:
+        result = {"status": "isomorphic", "mapping": dict(sorted(iso.mapping.items()))}
+        code = EXIT_PASS
+    else:
+        result = {"status": "not_isomorphic", "groupoids_isomorphic": iso.rejected > 0}
+        code = EXIT_FAIL
+    result["nodes_visited"] = iso.nodes_visited
+    return {"result": result}, code
 
 
 SUITE_NAMES = ("cartan", "relations", "states", "masa", "all")
 
 
-def cmd_suite(path: str, config: RunConfig, suite: str, out: str | None = None) -> int:
-    if suite not in SUITE_NAMES:
-        sys.stderr.write(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}\n")
-        return EXIT_INPUT
-    doc = _envelope(path, config)
-    try:
-        ctx = _load_context(path, config)
-        spec = _resolve_spec(ctx, config)
-    except json.JSONDecodeError as exc:
-        doc["error"] = {"kind": "parse", "message": str(exc), "line": exc.lineno, "column": exc.colno}
-        _emit(doc, out)
-        return EXIT_INPUT
-    except InputError as exc:
-        doc["error"] = {"kind": "input", "message": str(exc)}
-        _emit(doc, out)
-        return EXIT_INPUT
+def cmd_suite(path: str, config: RunConfig, suite: str) -> tuple[dict, int]:
+    ctx = _load_context(path, config)
+    spec = _resolve_spec(ctx, config)
     runners = {
         "cartan": lambda: cartan_suite(ctx, config.seed, spec),
         "relations": lambda: relations_suite(ctx, config.seed),
         "states": lambda: states_suite(ctx, config.seed),
         "masa": lambda: masa_suite(ctx, config.seed),
+        "expectation": lambda: expectation_suite(ctx, config.seed),
+        "norms": lambda: norms_suite(ctx, config.seed),
     }
     selected = list(runners) if suite == "all" else [suite]
     results = {name: runners[name]() for name in selected}
-    if suite == "all":
-        results["expectation"] = expectation_suite(ctx, config.seed)
-        results["norms"] = norms_suite(ctx, config.seed)
-    doc["suites"] = results
-    doc["passed"] = all(r["passed"] for r in results.values())
-    _emit(doc, out)
-    return EXIT_PASS if doc["passed"] else EXIT_FAIL
+    passed = all(r["passed"] for r in results.values())
+    return {"suites": results, "passed": passed}, EXIT_PASS if passed else EXIT_FAIL
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -294,6 +194,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where errors become exit codes."""
     args = _parser().parse_args(argv)
     config = RunConfig(
         tolerance=args.tol,
@@ -301,22 +202,41 @@ def main(argv=None) -> int:
         iso_budget=args.iso_budget,
         semigroup=getattr(args, "semigroup", "monomial"),
     )
-    if config.tolerance <= 0:
-        sys.stderr.write("tolerance must be positive\n")
+    if not (math.isfinite(config.tolerance) and config.tolerance > 0):
+        sys.stderr.write("tolerance must be a finite positive number\n")
         return EXIT_INPUT
+    if args.command == "suite" and args.suite not in SUITE_NAMES:
+        sys.stderr.write(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}\n")
+        return EXIT_INPUT
+    paths = [args.report_a, args.report_b] if args.command == "compare" else [args.path]
+    run = {
+        "validate": lambda: cmd_validate(args.path, config),
+        "reconstruct": lambda: cmd_reconstruct(args.path, config),
+        "compare": lambda: cmd_compare(args.report_a, args.report_b, config),
+        "suite": lambda: cmd_suite(args.path, config, args.suite),
+    }[args.command]
     try:
-        if args.command == "validate":
-            return cmd_validate(args.path, config, args.out)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args.path, config, args.out)
-        if args.command == "compare":
-            return cmd_compare(args.report_a, args.report_b, config, args.out)
-        if args.command == "suite":
-            return cmd_suite(args.path, config, args.suite, args.out)
-    except FileNotFoundError as exc:
+        doc = _envelope(paths, config)
+        try:
+            body, code = run()
+        except json.JSONDecodeError as exc:
+            body = {"error": {"kind": "parse", "message": str(exc),
+                              "line": exc.lineno, "column": exc.colno}}
+            code = EXIT_INPUT
+        except NotCartanError as exc:
+            body = {"error": {"kind": "not-cartan", "failures": list(exc.failures)}}
+            code = EXIT_FAIL
+        except (InputError, UnicodeDecodeError) as exc:
+            body, code = {"error": {"kind": "input", "message": str(exc)}}, EXIT_INPUT
+        doc.update(body)
+        if args.out:
+            Path(args.out).write_text(dumps(doc), encoding="utf-8")
+        else:
+            sys.stdout.write(dumps(doc))
+    except OSError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_INPUT
-    return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

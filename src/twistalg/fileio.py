@@ -43,7 +43,7 @@ def groupoid_from_dict(doc: dict, name: str | None = None) -> FiniteGroupoid:
         range_ = dict(doc["range"])
         inverse = dict(doc["inverse"])
         compose_raw = dict(doc.get("compose", {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"groupoid document is missing a table: {exc}") from exc
     for e in elements:
         if "|" in str(e):
@@ -55,13 +55,15 @@ def groupoid_from_dict(doc: dict, name: str | None = None) -> FiniteGroupoid:
 
 
 def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
+    if not isinstance(doc or {}, dict):
+        raise InputError("cocycle must be an object keyed by 'g|h'")
     values = {}
     for key, entry in (doc or {}).items():
         g, h = _split_pair(key)
         try:
             p, q = entry["turns"]
             phase = Phase(Fraction(int(p), int(q)) % 1)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad cocycle entry for {key!r}: {exc}") from exc
         values[(g, h)] = phase
     return Cocycle(groupoid, values)

@@ -366,6 +366,7 @@ class IsoResult:
     status: str
     mapping: dict[str, str] | None = None
     nodes_visited: int = 0
+    rejected: int = 0  # isomorphisms found but refused by the caller's `accept`
 
     @property
     def found(self) -> bool:
@@ -418,9 +419,8 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
     """Yield structure-preserving bijections a -> b by pruned backtracking.
 
     Exhausts the pruned search space unless the budget runs out, in which
-    case a BudgetExhausted marker is raised through StopIteration semantics:
-    callers must inspect budget.left to distinguish exhaustion from a
-    completed (empty) search.
+    case BudgetExhausted is raised from the generator; a search that ends
+    without raising was exhaustive.
     """
     if len(a.elements) != len(b.elements) or len(a.units) != len(b.units):
         return
@@ -484,12 +484,20 @@ class BudgetExhausted(Exception):
     pass
 
 
-def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, budget: int = 10**6) -> IsoResult:
-    """Search for a groupoid isomorphism a -> b within a node-visit budget."""
+def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, budget: int = 10**6,
+                         accept=None) -> IsoResult:
+    """Search for a groupoid isomorphism a -> b within a node-visit budget.
+
+    With `accept`, only an isomorphism for which accept(mapping) is true
+    counts as found; the others are counted in `rejected`.
+    """
     tracker = _Budget(budget)
+    rejected = 0
     try:
         for mapping in iter_isomorphisms(a, b, tracker):
-            return IsoResult("isomorphic", mapping, tracker.used)
+            if accept is None or accept(mapping):
+                return IsoResult("isomorphic", mapping, tracker.used, rejected)
+            rejected += 1
     except BudgetExhausted:
-        return IsoResult("inconclusive", None, tracker.used)
-    return IsoResult("not_isomorphic", None, tracker.used)
+        return IsoResult("inconclusive", None, tracker.used, rejected)
+    return IsoResult("not_isomorphic", None, tracker.used, rejected)

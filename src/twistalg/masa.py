@@ -29,6 +29,7 @@ from .groupoid import is_effective
 from .relations import general_restriction_le
 from .semigroups import (
     SemigroupSpec,
+    compatible,
     membership,
     random_diagonal,
     random_element,
@@ -155,11 +156,7 @@ def _normalized_isotropy_delta(ctx: TwistedAlgebra, g: str) -> tuple[AlgebraElem
     """A phase-normalized c = z delta_g with c^K = delta_u in the positive cone."""
     gpd = ctx.groupoid
     order = gpd.isotropy_order(g)
-    c0 = ctx.delta(g)
-    power = c0
-    for _ in range(order - 1):
-        power = power * c0
-    omega = power.coeff(gpd.power(g, 0))
+    omega = _power(ctx.delta(g), order).coeff(gpd.power(g, 0))
     zeta = cmath.exp(-1j * cmath.phase(omega) / order)
     return ctx.delta(g, zeta), order
 
@@ -287,8 +284,6 @@ def cartan_criterion(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
 
 def summable_normalizers_report(ctx: TwistedAlgebra, rng, samples: int = 40) -> dict:
     """The normalizer semigroup is closed under compatible sums, on samples."""
-    from .semigroups import compatible
-
     normal = SemigroupSpec.normalizers(ctx)
     ok, witness = True, None
     pool = sample_members(normal, rng, samples)

@@ -11,7 +11,7 @@ and cross-checked against direct oracles where one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .semigroups import (
     check_cartan,
     csum_closure,
     membership,
+    random_diagonal,
+    random_element,
     random_monomial,
     sample_members,
 )
@@ -225,16 +227,18 @@ def recover_cocycle(ctx: TwistedAlgebra) -> tuple[Cocycle, float]:
 
     sigma'(g, h) is the angle between delta_g * delta_h and delta_{gh} at
     the ultrafilter of the product point; returns the snapped cocycle and
-    the max residual against the context's own cocycle.
+    the max residual against the context's own cocycle.  Phases are snapped
+    to the finest denominator the context's cocycle uses, and at least 64.
     """
     gpd = ctx.groupoid
+    bound = max([64] + [p.turns.denominator for p in ctx.cocycle.values.values()])
     values: dict[tuple[str, str], Phase] = {}
     residual = 0.0
     for (g, h), gh in gpd.compose.items():
         u = ultrafilter_at(ctx, gh)
         val = angle(u, ctx.delta(g) * ctx.delta(h), ctx.delta(gh))
         residual = max(residual, abs(val - ctx.cocycle(g, h).complex))
-        values[(g, h)] = Phase.from_complex(val)
+        values[(g, h)] = Phase.from_complex(val, max_denominator=bound)
     recovered = Cocycle(gpd, {k: v for k, v in values.items() if v.turns != 0})
     return recovered, residual
 
@@ -348,7 +352,7 @@ def unit_space_report(ctx: TwistedAlgebra, rng, samples: int = 40) -> dict:
             if in_kernel != (abs(b.coeff(u)) <= ctx.zero_tol):
                 kernel_ok = False
     for _ in range(samples // 2):
-        b = _random_diagonal(ctx, rng)
+        b = random_diagonal(ctx, rng)
         for u in gpd.units:
             uf = ultrafilter_at(ctx, u)
             if (not uf.contains(b)) != (abs(b.coeff(u)) <= ctx.zero_tol):
@@ -371,12 +375,6 @@ def unit_space_report(ctx: TwistedAlgebra, rng, samples: int = 40) -> dict:
         "kernels_distinct": distinct_ok,
         "hausdorff_separation": hausdorff_ok,
     }
-
-
-def _random_diagonal(ctx, rng):
-    from .semigroups import random_diagonal
-
-    return random_diagonal(ctx, rng)
 
 
 def ultra_primeness_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
@@ -423,7 +421,7 @@ def states_report(ctx: TwistedAlgebra, rng, samples: int = 100, tol: float = 1e-
         u = ultrafilter_at(ctx, g)
         n = _monomial_through(ctx, g, rng)
         m = _monomial_through(ctx, g, rng)
-        b = _random_diagonal(ctx, rng)
+        b = random_diagonal(ctx, rng)
         # range state from source state through a member of U
         lhs = range_state(u, b)
         denom = source_state(u, diagonal(n.star() * n))
@@ -511,8 +509,6 @@ def twist_report(ctx: TwistedAlgebra, rng, samples: int = 100) -> dict:
 
 def hat_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
     """Round-trip, *-algebra, expectation and support laws of the hat map."""
-    from .semigroups import random_element
-
     roundtrip = 0.0
     linear = 0.0
     multiplicative = 0.0
@@ -616,19 +612,7 @@ class ReconstructionReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "context": self.context,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "cartan": self.cartan,
-            "isomorphism": self.isomorphism,
-            "cocycle_residual": self.cocycle_residual,
-            "recovered_cocycle": self.recovered_cocycle,
-            "rebuilt_groupoid": self.rebuilt_groupoid,
-            "theorems": self.theorems,
-            "summable_image": self.summable_image,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
@@ -673,8 +657,6 @@ def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
 
     # The image of the csum closure under the hat map must be exactly the
     # monomial semigroup, extensionally on samples.
-    from .semigroups import random_element
-
     closed = csum_closure(spec)
     monomial = SemigroupSpec.monomial(ctx)
     sweep_rng = substream(seed, "summable-image", ctx.name)

@@ -1,7 +1,11 @@
+import copy
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistalg import standard_contexts
 from twistalg.cli import main
@@ -168,3 +172,128 @@ def test_groupoid_file_roundtrip(tmp_path):
 
 def test_tolerance_must_be_positive():
     assert run("validate", FIXDIR / "r2.json", "--tol", 0) == 2
+
+
+# -- the exit-code contract: 0 pass, 1 fail with witness, 2 input error, 3 inconclusive --
+
+EMPTY_GROUPOID = {"elements": [], "units": [], "source": {}, "range": {}, "inverse": {},
+                  "compose": {}}
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _with_table(tmp_path, table, value):
+    doc = json.loads((FIXDIR / "z2.json").read_text())
+    doc[table] = value
+    return _write_json(tmp_path / f"bad_{table}.json", doc)
+
+
+def _cocycle_as_list(tmp_path):
+    return _with_table(tmp_path, "cocycle", [["1|1", {"turns": [1, 2]}]])
+
+
+def _compose_as_list(tmp_path):
+    return _with_table(tmp_path, "compose", ["0|0", "0|1", "1|0", "1|1"])
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
+    return path
+
+
+def _report(tmp_path, mutate):
+    out = tmp_path / "z2_report.json"
+    assert run("reconstruct", FIXDIR / "z2.json", "--out", out) == 0
+    text = out.read_text()
+    out.write_text(mutate(text))
+    return out
+
+
+def _recovered_cocycle_as_list(text):
+    doc = json.loads(text)
+    doc["reconstruction"]["recovered_cocycle"] = [["p1|p1", {"turns": [1, 2]}]]
+    return json.dumps(doc)
+
+
+# case -> (argv for a tmp_path, error kind in the report, or None for no report)
+CONTRACT_CASES = {
+    "validate-cocycle-list": (lambda t: ["validate", _cocycle_as_list(t)], "input"),
+    "reconstruct-cocycle-list": (lambda t: ["reconstruct", _cocycle_as_list(t)], "input"),
+    "validate-compose-list": (lambda t: ["validate", _compose_as_list(t)], "input"),
+    "reconstruct-compose-list": (lambda t: ["reconstruct", _compose_as_list(t)], "input"),
+    "compare-recovered-cocycle-list": (
+        lambda t: ["compare", *[_report(t, _recovered_cocycle_as_list)] * 2], "input"),
+    "compare-truncated-report": (
+        lambda t: ["compare", *[_report(t, lambda text: text[:200])] * 2], "parse"),
+    "reconstruct-empty-groupoid": (
+        lambda t: ["reconstruct", _write_json(t / "empty.json", EMPTY_GROUPOID)], "input"),
+    "suite-empty-groupoid": (
+        lambda t: ["suite", _write_json(t / "empty.json", EMPTY_GROUPOID)], "input"),
+    "validate-not-utf8": (lambda t: ["validate", _not_utf8(t)], "input"),
+    "validate-directory": (lambda t: ["validate", t], None),
+    "tol-nan": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "nan"], None),
+    "tol-inf": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "inf"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_contract_escapes_are_input_errors(case, tmp_path, capsys):
+    argv, kind = CONTRACT_CASES[case]
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    out = capsys.readouterr().out
+    if kind is None:
+        assert out == ""
+    else:
+        assert json.loads(out)["error"]["kind"] == kind
+
+
+_REPLACEMENTS = (None, True, 0, -1, 2.5, "", "x", "a|b", [], ["x", 1], {}, {"turns": [1, 0]})
+
+
+def _json_paths(doc, prefix=()):
+    """Every key path below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_groupoid_files(draw):
+    """A fixture's text after dropped keys, swapped value types, or truncation."""
+    doc = json.loads((FIXDIR / draw(st.sampled_from(["z2.json", "r2.json"]))).read_text())
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_json_paths(doc))
+        # Whole tables half of the time, so that a table of the wrong type is common.
+        path = draw(st.sampled_from([p for p in paths if len(p) == 1]) | st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+        if not doc:
+            break
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_groupoid_files(), command=st.sampled_from(["validate", "reconstruct"]))
+def test_exit_code_contract_under_mutation(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        assert run(command, path, "--out", Path(tmp) / "report.json") in (0, 1, 2, 3)

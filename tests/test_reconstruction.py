@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from twistalg import (
@@ -15,10 +17,10 @@ from twistalg import (
     ultrafilter_at,
     ultrafilter_product,
 )
-from twistalg.algebra import diagonal, max_coeff_diff
+from twistalg.algebra import Cocycle, Phase, TwistedAlgebra, diagonal, max_coeff_diff
 from twistalg.errors import InputError
 from twistalg.fileio import dumps
-from twistalg.groupoid import FiniteGroupoid
+from twistalg.groupoid import FiniteGroupoid, cyclic_group
 from twistalg.reconstruction import (
     basic_set,
     equivalent_in,
@@ -140,10 +142,17 @@ def test_recover_cocycle_trivial_and_pauli(r2, v4_pauli):
     recovered, residual = recover_cocycle(r2)
     assert residual < 1e-9
     assert not recovered.values  # identically one
-    recovered, residual = recover_cocycle(v4_pauli)
-    assert residual < 1e-9
-    for pair, phase in v4_pauli.cocycle.values.items():
-        assert recovered.values[pair].turns == phase.turns
+    # Z3 twisted by the coboundary of b(1) = 1/100: phases finer than 1/64 turn.
+    z3 = cyclic_group(3)
+    b = {"0": Fraction(0), "1": Fraction(1, 100), "2": Fraction(0)}
+    z3_cob = TwistedAlgebra(z3, Cocycle(z3, {
+        (g, h): Phase((b[g] + b[h] - b[gh]) % 1) for (g, h), gh in z3.compose.items()
+    }))
+    for ctx in (v4_pauli, z3_cob):
+        recovered, residual = recover_cocycle(ctx)
+        assert residual < 1e-9
+        for pair, phase in ctx.cocycle.values.items():
+            assert recovered.values[pair].turns == phase.turns
 
 
 def test_hat_examples(r2, r3, rng):

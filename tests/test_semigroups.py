@@ -10,7 +10,6 @@ from twistalg import (
     compatible,
     csum_closure,
     membership,
-    normalizer_semigroup,
 )
 from twistalg.algebra import diagonal_function, is_diagonal, is_positive, max_coeff_diff
 from twistalg.errors import InputError
@@ -118,7 +117,7 @@ def test_csum_preserves_cartan(r2):
 
 
 def test_normalizers_r2_equal_monomials(r2, rng):
-    normal = normalizer_semigroup(r2)
+    normal = SemigroupSpec.normalizers(r2)
     mono = SemigroupSpec.monomial(r2)
     for _ in range(100):
         a = random_element(r2, rng)
@@ -128,7 +127,7 @@ def test_normalizers_r2_equal_monomials(r2, rng):
 
 
 def test_normalizers_z4_examples(z4):
-    normal = normalizer_semigroup(z4)
+    normal = SemigroupSpec.normalizers(z4)
     assert not membership(normal, z4.delta("0") + z4.delta("1"))
     fourier = 0.5 * (z4.delta("0") + z4.delta("1") + z4.delta("2") - z4.delta("3"))
     assert membership(normal, fourier)
