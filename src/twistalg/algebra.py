@@ -30,6 +30,8 @@ from .groupoid import (
     standard_fixtures,
 )
 
+MAX_SNAP_DENOMINATOR = 10**12
+
 _EXACT_TURNS = {
     Fraction(0): 1 + 0j,
     Fraction(1, 2): -1 + 0j,
@@ -67,13 +69,16 @@ class Phase:
         return cmath.exp(2j * cmath.pi * float(self.turns))
 
     @staticmethod
-    def from_complex(z: complex, max_denominator: int = 64, tol: float = 1e-6) -> "Phase":
-        """Snap a unit-modulus complex number to the nearest rational turn."""
+    def from_complex(z: complex, denominator: int = 64, tol: float = 1e-6) -> "Phase":
+        """Snap a unit-modulus complex number to the nearest multiple of 1/denominator turn."""
+        if denominator > MAX_SNAP_DENOMINATOR:
+            raise InputError(f"phases finer than 1/{MAX_SNAP_DENOMINATOR} turn cannot be "
+                             f"recovered from a float angle (asked for 1/{denominator})")
         if abs(abs(z) - 1.0) > 1e-6:
             raise InputError(f"not a unit-modulus scalar: {z!r}")
-        turns = Fraction(cmath.phase(z) / (2 * cmath.pi)).limit_denominator(max_denominator) % 1
+        turns = Fraction(round(cmath.phase(z) / (2 * cmath.pi) * denominator), denominator) % 1
         if abs(Phase(turns).complex - z) > tol:
-            raise InputError(f"phase {z!r} is not close to a rational turn with denominator <= {max_denominator}")
+            raise InputError(f"phase {z!r} is not close to a multiple of 1/{denominator} turn")
         return Phase(turns)
 
     def __repr__(self) -> str:

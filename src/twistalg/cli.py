@@ -134,22 +134,23 @@ def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]
     return {"result": result}, code
 
 
-SUITE_NAMES = ("cartan", "relations", "states", "masa", "all")
+# Runners in `--suite all` order; each looks its suite function up by name when called.
+SUITES = {
+    "cartan": lambda ctx, seed, spec: cartan_suite(ctx, seed, spec),
+    "relations": lambda ctx, seed, spec: relations_suite(ctx, seed),
+    "states": lambda ctx, seed, spec: states_suite(ctx, seed),
+    "masa": lambda ctx, seed, spec: masa_suite(ctx, seed),
+    "expectation": lambda ctx, seed, spec: expectation_suite(ctx, seed),
+    "norms": lambda ctx, seed, spec: norms_suite(ctx, seed),
+}
+SUITE_NAMES = (*SUITES, "all")
 
 
 def cmd_suite(path: str, config: RunConfig, suite: str) -> tuple[dict, int]:
     ctx = _load_context(path, config)
     spec = _resolve_spec(ctx, config)
-    runners = {
-        "cartan": lambda: cartan_suite(ctx, config.seed, spec),
-        "relations": lambda: relations_suite(ctx, config.seed),
-        "states": lambda: states_suite(ctx, config.seed),
-        "masa": lambda: masa_suite(ctx, config.seed),
-        "expectation": lambda: expectation_suite(ctx, config.seed),
-        "norms": lambda: norms_suite(ctx, config.seed),
-    }
-    selected = list(runners) if suite == "all" else [suite]
-    results = {name: runners[name]() for name in selected}
+    selected = list(SUITES) if suite == "all" else [suite]
+    results = {name: SUITES[name](ctx, config.seed, spec) for name in selected}
     passed = all(r["passed"] for r in results.values())
     return {"suites": results, "passed": passed}, EXIT_PASS if passed else EXIT_FAIL
 
@@ -195,7 +196,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the only place where errors become exit codes."""
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 for --help
+        return exc.code
     config = RunConfig(
         tolerance=args.tol,
         seed=args.seed,

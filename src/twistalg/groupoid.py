@@ -10,6 +10,7 @@ which keeps reports deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -380,19 +381,20 @@ class IsoResult:
         }
 
 
+class BudgetExhausted(Exception):
+    pass
+
+
 class _Budget:
-    __slots__ = ("left", "used")
+    __slots__ = ("limit", "used")
 
     def __init__(self, limit: int):
-        self.left = limit
-        self.used = 0
+        self.limit, self.used = limit, 0
 
-    def spend(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
+    def spend(self) -> None:
+        if self.used >= self.limit:
+            raise BudgetExhausted()
         self.used += 1
-        return True
 
 
 def _unit_signature(g: FiniteGroupoid, u: str) -> tuple:
@@ -418,12 +420,13 @@ def _element_signature(g: FiniteGroupoid, unit_sigs: dict, e: str) -> tuple:
 def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
     """Yield structure-preserving bijections a -> b by pruned backtracking.
 
-    Exhausts the pruned search space unless the budget runs out, in which
-    case BudgetExhausted is raised from the generator; a search that ends
-    without raising was exhaustive.
+    A node checks only the pairs its new element e brings, as in VF2: (x, e)
+    and (e, x) for each mapped x, and the mapped pairs with product e.  Units
+    map first, onto units, so (e, s(e)), (r(e), e) and (e, e^-1) force the
+    images of s(e), r(e) and e^-1.  BudgetExhausted is raised from the
+    generator when the budget runs out; a search that ends without it was
+    exhaustive.
     """
-    if len(a.elements) != len(b.elements) or len(a.units) != len(b.units):
-        return
     ua = {u: _unit_signature(a, u) for u in a.units}
     ub = {u: _unit_signature(b, u) for u in b.units}
     sig_a = {e: _element_signature(a, ua, e) for e in a.elements}
@@ -436,29 +439,19 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
     }
     # Units first (they anchor the fibers), then scarcest candidate sets.
     order = sorted(a.elements, key=lambda e: (not a.is_unit(e), len(candidates[e]), a.index(e)))
+    factors = defaultdict(list)  # p -> the pairs (x, y) with x*y = p
+    for pair, p in a.compose.items():
+        factors[p].append(pair)
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def consistent(e: str, f: str) -> bool:
-        se, re_ = a.source[e], a.range[e]
-        if se in mapping and b.source[f] != mapping[se]:
+    def agrees(x: str, y: str) -> bool:
+        """x*y is defined iff phi(x)*phi(y) is, and phi(x*y) = phi(x)*phi(y) when mapped."""
+        p = a.compose.get((x, y))
+        q = b.compose.get((mapping[x], mapping[y]))
+        if (p is None) != (q is None):
             return False
-        if re_ in mapping and b.range[f] != mapping[re_]:
-            return False
-        inv = a.inverse[e]
-        if inv in mapping and b.inverse[f] != mapping[inv]:
-            return False
-        trial = dict(mapping)
-        trial[e] = f
-        for x, fx in trial.items():
-            for y, fy in trial.items():
-                p = a.compose.get((x, y))
-                q = b.compose.get((fx, fy))
-                if (p is None) != (q is None):
-                    return False
-                if p is not None and p in trial and trial[p] != q:
-                    return False
-        return True
+        return p is None or p not in mapping or mapping[p] == q
 
     def search(i: int):
         if i == len(order):
@@ -468,20 +461,17 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
         for f in candidates[e]:
             if f in used:
                 continue
-            if not budget.spend():
-                raise BudgetExhausted()
-            if consistent(e, f):
-                mapping[e] = f
+            budget.spend()
+            mapping[e] = f
+            if (all(agrees(x, e) and agrees(e, x) for x in mapping)
+                    and all(agrees(x, y) for x, y in factors[e]
+                            if x in mapping and y in mapping)):
                 used.add(f)
                 yield from search(i + 1)
-                del mapping[e]
                 used.discard(f)
+            del mapping[e]
 
     yield from search(0)
-
-
-class BudgetExhausted(Exception):
-    pass
 
 
 def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, budget: int = 10**6,

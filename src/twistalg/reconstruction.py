@@ -11,6 +11,7 @@ and cross-checked against direct oracles where one exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -102,36 +103,32 @@ def basic_set(ctx: TwistedAlgebra, n: AlgebraElement) -> frozenset[str]:
 
 
 def check_filter_axioms(u: Ultrafilter, sample) -> dict:
-    """Down-directedness, up-closure and additive primeness on a finite sample."""
+    """Down-directedness, up-closure and additive primeness on a finite sample.
+
+    Each sweep stops at its first failing pair and reports it as the witness.
+    """
     ctx = u.ctx
     members = [m for m in sample if u.contains(m)]
-    down_ok, down_witness = True, None
+    down_witness = None
     for m in members:
-        for n in members:
-            l = ctx.delta(u.g, m.coeff(u.g))
-            if not (u.contains(l) and dominates(l, m) and dominates(l, n)):
-                down_ok, down_witness = False, (repr(m), repr(n))
-                break
-    up_ok, up_witness = True, None
-    for m in members:
-        for n in sample:
-            if dominates(m, n) is not None and not u.contains(n):
-                up_ok, up_witness = False, (repr(m), repr(n))
-                break
-    prime_ok, prime_witness = True, None
-    for m in sample:
-        for n in sample:
-            s = m + n
-            if u.contains(s) and not (u.contains(m) or u.contains(n)):
-                prime_ok, prime_witness = False, (repr(m), repr(n))
-                break
+        # The same lower bound l <= m serves every n.
+        l = ctx.delta(u.g, m.coeff(u.g))
+        l_below_m = u.contains(l) and dominates(l, m)
+        n = next((n for n in members if not (l_below_m and dominates(l, n))), None)
+        if n is not None:
+            down_witness = (repr(m), repr(n))
+            break
+    up_witness = next(((repr(m), repr(n)) for m in members for n in sample
+                       if dominates(m, n) is not None and not u.contains(n)), None)
+    prime_witness = next(((repr(m), repr(n)) for m in sample for n in sample
+                          if u.contains(m + n) and not (u.contains(m) or u.contains(n))), None)
     return {
         "proper": not u.contains(ctx.zero()),
-        "down_directed": down_ok,
+        "down_directed": down_witness is None,
         "down_witness": down_witness,
-        "up_closed": up_ok,
+        "up_closed": up_witness is None,
         "up_witness": up_witness,
-        "additively_prime": prime_ok,
+        "additively_prime": prime_witness is None,
         "prime_witness": prime_witness,
     }
 
@@ -228,17 +225,18 @@ def recover_cocycle(ctx: TwistedAlgebra) -> tuple[Cocycle, float]:
     sigma'(g, h) is the angle between delta_g * delta_h and delta_{gh} at
     the ultrafilter of the product point; returns the snapped cocycle and
     the max residual against the context's own cocycle.  Phases are snapped
-    to the finest denominator the context's cocycle uses, and at least 64.
+    to multiples of 1/L turn, L the lcm of the denominators the context's
+    cocycle uses; an L above MAX_SNAP_DENOMINATOR raises InputError.
     """
     gpd = ctx.groupoid
-    bound = max([64] + [p.turns.denominator for p in ctx.cocycle.values.values()])
+    grid = math.lcm(*(p.turns.denominator for p in ctx.cocycle.values.values()))
     values: dict[tuple[str, str], Phase] = {}
     residual = 0.0
     for (g, h), gh in gpd.compose.items():
         u = ultrafilter_at(ctx, gh)
         val = angle(u, ctx.delta(g) * ctx.delta(h), ctx.delta(gh))
         residual = max(residual, abs(val - ctx.cocycle(g, h).complex))
-        values[(g, h)] = Phase.from_complex(val, max_denominator=bound)
+        values[(g, h)] = Phase.from_complex(val, grid)
     recovered = Cocycle(gpd, {k: v for k, v in values.items() if v.turns != 0})
     return recovered, residual
 

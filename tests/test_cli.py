@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from twistalg import standard_contexts
 from twistalg.cli import main
 from twistalg.errors import InputError
-from twistalg.fileio import load_basis, load_element, load_groupoid_file, save_context
+from twistalg.fileio import (
+    context_to_dict,
+    load_basis,
+    load_element,
+    load_groupoid_file,
+    save_context,
+)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -136,6 +142,18 @@ def test_suite_masa_on_z4_passes_with_witness(capsys):
     assert masa["contrapositive"]["commutant_witness"]
 
 
+@pytest.mark.parametrize("suite", ["expectation", "norms"])
+def test_every_suite_runs_alone(suite, capsys):
+    assert run("suite", FIXDIR / "z2.json", "--suite", suite) == 0
+    assert list(json.loads(capsys.readouterr().out)["suites"]) == [suite]
+
+
+def test_help_returns_zero(capsys):
+    assert run("--help") == 0
+    assert run("suite", "--help") == 0
+    assert "cartan|relations|states|masa|expectation|norms|all" in capsys.readouterr().out
+
+
 def test_suite_unknown_name():
     assert run("suite", FIXDIR / "r2.json", "--suite", "bogus") == 2
 
@@ -159,6 +177,14 @@ def test_basis_file_validation(tmp_path):
     bad.write_text(json.dumps({"bisections": [["(1,2)"]]}))
     with pytest.raises(InputError):
         load_basis(bad, ctx)
+
+
+def test_fixture_files_match_constructors():
+    contexts = {name.lower(): ctx for name, ctx in standard_contexts().items()}
+    files = sorted(p for p in FIXDIR.glob("*.json") if not p.name.startswith("basis"))
+    assert [p.stem for p in files] == sorted(contexts)
+    for path in files:
+        assert json.loads(path.read_text()) == context_to_dict(contexts[path.stem]), path.name
 
 
 def test_groupoid_file_roundtrip(tmp_path):
@@ -237,6 +263,8 @@ CONTRACT_CASES = {
     "validate-directory": (lambda t: ["validate", t], None),
     "tol-nan": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "nan"], None),
     "tol-inf": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "inf"], None),
+    "tol-not-a-number": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "abc"], None),
+    "unknown-command": (lambda t: ["bogus", FIXDIR / "r2.json"], None),
 }
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from twistalg import (
@@ -126,6 +128,51 @@ def test_iso_identity_and_symmetry():
         assert groupoids_isomorphic(g, g).found, name
     fixtures = standard_fixtures()
     assert groupoids_isomorphic(fixtures["Swap2"], fixtures["R2"]).found
+
+
+def _all_isomorphisms(a, b):
+    """Every isomorphism a -> b the search yields, and the nodes it visited."""
+    found = []
+
+    def refuse(mapping):
+        found.append(mapping)
+        return False
+
+    result = groupoids_isomorphic(a, b, accept=refuse)
+    assert result.status == "not_isomorphic" and result.rejected == len(found)
+    return found, result.nodes_visited
+
+
+def _brute_force_isomorphisms(a, b):
+    """Every bijection a -> b under which x*y is defined iff phi(x)*phi(y) is, and
+    phi(x*y) = phi(x)*phi(y)."""
+    if len(a) != len(b):
+        return []
+
+    def preserves(phi, x, y):
+        p, q = a.compose.get((x, y)), b.compose.get((phi[x], phi[y]))
+        return p is q is None or (p is not None and q is not None and phi[p] == q)
+
+    bijections = (dict(zip(a.elements, image)) for image in itertools.permutations(b.elements))
+    return [phi for phi in bijections
+            if all(preserves(phi, x, y) for x in a.elements for y in a.elements)]
+
+
+def test_iso_search_matches_brute_force():
+    small = {n: g for n, g in standard_fixtures().items() if len(g) <= 6}
+    for (na, a), (nb, b) in itertools.product(small.items(), repeat=2):
+        found, _ = _all_isomorphisms(a, b)
+        as_set = {frozenset(m.items()) for m in found}
+        assert len(as_set) == len(found), (na, nb)
+        assert as_set == {frozenset(m.items()) for m in _brute_force_isomorphisms(a, b)}, (na, nb)
+
+
+@pytest.mark.parametrize("name, automorphisms, nodes", [
+    ("R3", 6, 141), ("R4", 24, 1936), ("V4", 6, 16), ("R2_disj_Z2", 2, 13)])
+def test_iso_full_automorphism_walks_pinned(name, automorphisms, nodes):
+    g = standard_fixtures()[name]
+    found, visited = _all_isomorphisms(g, g)
+    assert (len(found), visited) == (automorphisms, nodes)
 
 
 def test_iso_budget_inconclusive_distinct_from_no():

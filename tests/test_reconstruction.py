@@ -51,6 +51,15 @@ def test_filter_axioms_on_samples(r2, rng):
     assert rep["additively_prime"]
 
 
+def test_filter_axioms_report_first_failing_pair(contexts):
+    z2 = contexts["Z2"]
+    # Below the zero tolerance each is outside U_1, but their sums are inside.
+    first, second = 0.8e-9 * z2.delta("1"), 0.7e-9 * z2.delta("1")
+    rep = check_filter_axioms(ultrafilter_at(z2, "1"), [first, second])
+    assert not rep["additively_prime"]
+    assert rep["prime_witness"] == (repr(first), repr(first))
+
+
 def test_ultrafilter_products(r2):
     uu = ultrafilter_at(r2, "(1,1)")
     assert ultrafilter_product(uu, uu).g == "(1,1)"
@@ -138,21 +147,33 @@ def test_twist_points(r2, rng):
         assert equivalent_in(u, m, n) == twist_point(m, u).approx_eq(twist_point(n, u))
 
 
+def _z3_coboundary(d):
+    """Z3 twisted by the coboundary of b(1) = 1/d."""
+    z3 = cyclic_group(3)
+    b = {"0": Fraction(0), "1": Fraction(1, d), "2": Fraction(0)}
+    return TwistedAlgebra(z3, Cocycle(z3, {
+        (g, h): Phase((b[g] + b[h] - b[gh]) % 1) for (g, h), gh in z3.compose.items()
+    }))
+
+
 def test_recover_cocycle_trivial_and_pauli(r2, v4_pauli):
     recovered, residual = recover_cocycle(r2)
     assert residual < 1e-9
     assert not recovered.values  # identically one
-    # Z3 twisted by the coboundary of b(1) = 1/100: phases finer than 1/64 turn.
-    z3 = cyclic_group(3)
-    b = {"0": Fraction(0), "1": Fraction(1, 100), "2": Fraction(0)}
-    z3_cob = TwistedAlgebra(z3, Cocycle(z3, {
-        (g, h): Phase((b[g] + b[h] - b[gh]) % 1) for (g, h), gh in z3.compose.items()
-    }))
-    for ctx in (v4_pauli, z3_cob):
+    # Z3 twisted by the coboundary of b(1) = 1/d: phases finer than 1/64 turn, and
+    # (d = 10^9) finer than a float angle resolves without knowing the grid.
+    for ctx in (v4_pauli, _z3_coboundary(100), _z3_coboundary(10**9)):
         recovered, residual = recover_cocycle(ctx)
         assert residual < 1e-9
         for pair, phase in ctx.cocycle.values.items():
             assert recovered.values[pair].turns == phase.turns
+
+
+def test_recover_cocycle_refuses_grids_beyond_float_resolution():
+    recovered, _ = recover_cocycle(_z3_coboundary(10**12))
+    assert recovered.values[("1", "1")].turns == Fraction(2, 10**12)
+    with pytest.raises(InputError, match="1/1000000000000 turn"):
+        recover_cocycle(_z3_coboundary(10**13))
 
 
 def test_hat_examples(r2, r3, rng):
