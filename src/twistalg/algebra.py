@@ -69,7 +69,7 @@ class Phase:
         return cmath.exp(2j * cmath.pi * float(self.turns))
 
     @staticmethod
-    def from_complex(z: complex, denominator: int = 64, tol: float = 1e-6) -> "Phase":
+    def from_complex(z: complex, denominator: int = 64) -> "Phase":
         """Snap a unit-modulus complex number to the nearest multiple of 1/denominator turn."""
         if denominator > MAX_SNAP_DENOMINATOR:
             raise InputError(f"phases finer than 1/{MAX_SNAP_DENOMINATOR} turn cannot be "
@@ -77,7 +77,7 @@ class Phase:
         if abs(abs(z) - 1.0) > 1e-6:
             raise InputError(f"not a unit-modulus scalar: {z!r}")
         turns = Fraction(round(cmath.phase(z) / (2 * cmath.pi) * denominator), denominator) % 1
-        if abs(Phase(turns).complex - z) > tol:
+        if abs(Phase(turns).complex - z) > 1e-6:
             raise InputError(f"phase {z!r} is not close to a multiple of 1/{denominator} turn")
         return Phase(turns)
 
@@ -318,10 +318,9 @@ class AlgebraElement:
     def norm(self) -> float:
         return cstar_norm(self)
 
-    def approx_eq(self, other: "AlgebraElement", tol: float | None = None) -> bool:
+    def approx_eq(self, other: "AlgebraElement") -> bool:
         self._same_context(other)
-        t = self.ctx.zero_tol if tol is None else tol
-        return max_coeff_diff(self, other) <= t
+        return max_coeff_diff(self, other) <= self.ctx.zero_tol
 
 
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:
@@ -367,13 +366,13 @@ def diagonal(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.ctx, {g: c for g, c in a.coeffs.items() if gpd.is_unit(g)})
 
 
-def is_diagonal(a: AlgebraElement, tol: float | None = None) -> bool:
-    return all(a.ctx.groupoid.is_unit(g) for g in a.support(tol))
+def is_diagonal(a: AlgebraElement) -> bool:
+    return all(a.ctx.groupoid.is_unit(g) for g in a.support())
 
 
-def is_monomial(a: AlgebraElement, tol: float | None = None) -> bool:
+def is_monomial(a: AlgebraElement) -> bool:
     """True iff the support of a is a bisection."""
-    return is_bisection(a.ctx.groupoid, a.support(tol))
+    return is_bisection(a.ctx.groupoid, a.support())
 
 
 def diagonal_function(b: AlgebraElement, f) -> AlgebraElement:
@@ -443,12 +442,12 @@ def cstar_norm(a: AlgebraElement) -> float:
     return regular_representation(a).operator_norm
 
 
-def is_positive(a: AlgebraElement, tol: float = 1e-9) -> bool:
-    if max_coeff_diff(a, a.star()) > tol:
+def is_positive(a: AlgebraElement) -> bool:
+    if max_coeff_diff(a, a.star()) > 1e-9:
         return False
     image = regular_representation(a)
     for m in image.blocks.values():
-        if m.size and np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -tol:
+        if m.size and np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -1e-9:
             return False
     return True
 
@@ -519,12 +518,9 @@ def check_reduced_norm_formula(a: AlgebraElement, trials: int = 500,
 # -- standard twisted contexts ---------------------------------------------------
 
 
-def standard_contexts(zero_tol: float = 1e-9) -> dict[str, TwistedAlgebra]:
+def standard_contexts() -> dict[str, TwistedAlgebra]:
     """The desk-scale fixture contexts, trivially twisted except V4_pauli."""
-    out = {
-        name: TwistedAlgebra(g, zero_tol=zero_tol, name=name)
-        for name, g in standard_fixtures().items()
-    }
+    out = {name: TwistedAlgebra(g, name=name) for name, g in standard_fixtures().items()}
     v4 = klein_four("V4_pauli")
-    out["V4_pauli"] = TwistedAlgebra(v4, pauli_cocycle(v4), zero_tol=zero_tol, name="V4_pauli")
+    out["V4_pauli"] = TwistedAlgebra(v4, pauli_cocycle(v4), name="V4_pauli")
     return out

@@ -2,9 +2,10 @@
 
 Commands: validate, reconstruct, compare, suite.  Exit codes are disjoint
 and exhaustive: 0 pass, 1 fail with witness, 2 input error, 3 inconclusive
-(isomorphism search budget exhausted).  Reports embed the tool version,
-seed, tolerance and input content hash, and identical (input, config)
-pairs produce byte-identical reports.
+(isomorphism search budget exhausted), 4 consistency error (two independent
+routes to one value disagreed, as a loose --tol can make them).  Reports
+embed the tool version, seed, tolerance and input content hash, and
+identical (input, config) pairs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .algebra import Cocycle, TwistedAlgebra, twists_isomorphic
-from .errors import InputError, NotCartanError
+from .errors import ConsistencyError, InputError, NotCartanError
 from .fileio import (
     cocycle_from_dict,
     content_hash,
@@ -26,7 +27,7 @@ from .fileio import (
     load_basis,
     load_groupoid_file,
 )
-from .groupoid import validate_groupoid
+from .groupoid import table_violations, validate_groupoid
 from .reconstruction import reconstruct
 from .semigroups import SemigroupSpec
 from .suites import (
@@ -44,6 +45,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_CONSISTENCY = 4
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,16 @@ def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
 
 
 def _load_report(path: str, name: str) -> Cocycle:
-    """The recovered cocycle of a reconstruction report, on its rebuilt groupoid."""
+    """The recovered cocycle of a report, on its rebuilt groupoid with checked tables."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     rec = doc.get("reconstruction") if isinstance(doc, dict) else None
     if not isinstance(rec, dict) or "rebuilt_groupoid" not in rec or "recovered_cocycle" not in rec:
         raise InputError(f"{path} is not a reconstruction report with a rebuilt groupoid")
-    return cocycle_from_dict(groupoid_from_dict(rec["rebuilt_groupoid"], name),
-                             rec["recovered_cocycle"])
+    gpd = groupoid_from_dict(rec["rebuilt_groupoid"], name)
+    bad = table_violations(gpd)
+    if bad:
+        raise InputError(f"{path}: invalid rebuilt groupoid: {bad[0].message}")
+    return cocycle_from_dict(gpd, rec["recovered_cocycle"])
 
 
 def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]:
@@ -232,6 +237,8 @@ def main(argv=None) -> int:
             code = EXIT_FAIL
         except (InputError, UnicodeDecodeError) as exc:
             body, code = {"error": {"kind": "input", "message": str(exc)}}, EXIT_INPUT
+        except ConsistencyError as exc:
+            body, code = {"error": {"kind": "consistency", "message": str(exc)}}, EXIT_CONSISTENCY
         doc.update(body)
         if args.out:
             Path(args.out).write_text(dumps(doc), encoding="utf-8")

@@ -30,6 +30,7 @@ from .relations import general_restriction_le
 from .semigroups import (
     SemigroupSpec,
     compatible,
+    csum_closure,
     membership,
     random_diagonal,
     random_element,
@@ -105,7 +106,7 @@ def is_masa(ctx: TwistedAlgebra) -> bool:
 # -- theorem: MASA implies csum(N) = N(B) ---------------------------------------------
 
 
-def masa_implies_normalisers(ctx: TwistedAlgebra, rng, samples: int = 200) -> dict:
+def masa_implies_normalisers(ctx: TwistedAlgebra, rng) -> dict:
     """Extensional equality of the monomial csum closure with the normalizers.
 
     Checked on the monomial generators, on random elements, and on a full
@@ -123,7 +124,7 @@ def masa_implies_normalisers(ctx: TwistedAlgebra, rng, samples: int = 200) -> di
     for g in ctx.groupoid.elements:
         if not agree(ctx.delta(g)):
             disagreements.append(repr(ctx.delta(g)))
-    for _ in range(samples):
+    for _ in range(200):
         a = random_element(ctx, rng)
         if not agree(a):
             disagreements.append(repr(a))
@@ -209,9 +210,7 @@ def normalisers_imply_masa_contrapositive(ctx: TwistedAlgebra, rng) -> dict:
             diagonal(_power(c, k)).is_zero() for k in range(1, order)
         ),
         "witness_is_normalizer": membership(SemigroupSpec.normalizers(ctx), n),
-        "witness_not_in_csum": not membership(
-            SemigroupSpec(ctx, "csum", inner=SemigroupSpec.monomial(ctx)), n
-        ),
+        "witness_not_in_csum": not membership(csum_closure(SemigroupSpec.monomial(ctx)), n),
     }
     return {
         "status": "checked",
@@ -251,7 +250,7 @@ def _normalizer_pool(ctx: TwistedAlgebra, rng, samples: int) -> list[AlgebraElem
     return pool
 
 
-def cartan_criterion(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
+def cartan_criterion(ctx: TwistedAlgebra, rng) -> dict:
     """The diagonal is a Cartan subalgebra iff E is faithful and E(n) is a
     restriction of n for every normalizer n; the conjunction must equal
     the MASA test."""
@@ -265,7 +264,7 @@ def cartan_criterion(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
             faithful = False
     deflation_ok = True
     witness = None
-    for n in _normalizer_pool(ctx, rng, samples):
+    for n in _normalizer_pool(ctx, rng, 60):
         if not general_restriction_le(diagonal(n), n):
             deflation_ok = False
             witness = repr(n)
@@ -282,9 +281,10 @@ def cartan_criterion(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
     }
 
 
-def summable_normalizers_report(ctx: TwistedAlgebra, rng, samples: int = 40) -> dict:
+def summable_normalizers_report(ctx: TwistedAlgebra, rng) -> dict:
     """The normalizer semigroup is closed under compatible sums, on samples."""
     normal = SemigroupSpec.normalizers(ctx)
+    samples = 40
     ok, witness = True, None
     pool = sample_members(normal, rng, samples)
     for _ in range(samples):

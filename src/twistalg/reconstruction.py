@@ -207,8 +207,8 @@ class TwistPoint:
         phase, ginv = self.ctx.delta_star(self.g)
         return TwistPoint(self.ctx, self.phase.conjugate() * phase.complex, ginv)
 
-    def approx_eq(self, other: "TwistPoint", tol: float = 1e-9) -> bool:
-        return self.g == other.g and abs(self.phase - other.phase) <= tol
+    def approx_eq(self, other: "TwistPoint") -> bool:
+        return self.g == other.g and abs(self.phase - other.phase) <= 1e-9
 
 
 def twist_point(n: AlgebraElement, u: Ultrafilter) -> TwistPoint:
@@ -277,12 +277,12 @@ def _monomial_through(ctx, g, rng) -> AlgebraElement:
     return AlgebraElement(ctx, coeffs)
 
 
-def product_criterion_report(ctx: TwistedAlgebra, rng, samples_per_point: int = 3) -> dict:
+def product_criterion_report(ctx: TwistedAlgebra, rng) -> dict:
     """Product defined iff 0 not in TU, exhaustively over all point pairs,
     plus the basic-set identity U_{mn} = U_m U_n on sampled monomials."""
     gpd = ctx.groupoid
     members = {
-        g: [ctx.delta(g)] + [_monomial_through(ctx, g, rng) for _ in range(samples_per_point)]
+        g: [ctx.delta(g)] + [_monomial_through(ctx, g, rng) for _ in range(3)]
         for g in gpd.elements
     }
     criterion_ok, witness = True, None
@@ -318,11 +318,12 @@ def product_criterion_report(ctx: TwistedAlgebra, rng, samples_per_point: int = 
     }
 
 
-def unit_space_report(ctx: TwistedAlgebra, rng, samples: int = 40) -> dict:
+def unit_space_report(ctx: TwistedAlgebra, rng) -> dict:
     """Unit characterizations: U unit iff U meets B; E(n) basic sets;
     the complement of the unit space; diagonal iff basic set in units;
     the complement map onto maximal-ideal kernels; Hausdorff separation."""
     gpd = ctx.groupoid
+    samples = 40
     units_ok = all(
         ultrafilter_at(ctx, g).meets_diagonal() == gpd.is_unit(g) for g in gpd.elements
     )
@@ -375,9 +376,9 @@ def unit_space_report(ctx: TwistedAlgebra, rng, samples: int = 40) -> dict:
     }
 
 
-def ultra_primeness_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
+def ultra_primeness_report(ctx: TwistedAlgebra, rng) -> dict:
     ok, witness = True, None
-    for _ in range(samples):
+    for _ in range(60):
         m = random_monomial(ctx, rng)
         n = random_monomial(ctx, rng)
         s = m + n
@@ -388,10 +389,10 @@ def ultra_primeness_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
     return {"passed": ok, "witness": witness}
 
 
-def domination_inclusion_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
+def domination_inclusion_report(ctx: TwistedAlgebra, rng) -> dict:
     """m < n iff the basic set of m is (compactly) contained in that of n."""
     ok, witness = True, None
-    for i in range(samples):
+    for i in range(60):
         n = random_monomial(ctx, rng)
         if i % 2 == 0 and n.support():
             keep = [g for g in n.support() if rng.random() < 0.6]
@@ -405,7 +406,7 @@ def domination_inclusion_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> 
     return {"passed": ok, "witness": witness}
 
 
-def states_report(ctx: TwistedAlgebra, rng, samples: int = 100, tol: float = 1e-12) -> dict:
+def states_report(ctx: TwistedAlgebra, rng, samples: int = 100) -> dict:
     """State and angle laws at every point, on seeded samples."""
     gpd = ctx.groupoid
     quotient_res = 0.0
@@ -461,7 +462,7 @@ def states_report(ctx: TwistedAlgebra, rng, samples: int = 100, tol: float = 1e-
         lhs = angle(u, m1, n1) * angle(v, r1, s1)
         rhs = angle(uv, m1 * r1, n1 * s1)
         product_res = max(product_res, abs(lhs - rhs))
-    passed = (max(quotient_res, magnitude_res, emn_res, angle_res, product_res) <= tol
+    passed = (max(quotient_res, magnitude_res, emn_res, angle_res, product_res) <= 1e-12
               and recovery_ok and ball_ok)
     return {
         "passed": passed,
@@ -536,12 +537,12 @@ def hat_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
     }
 
 
-def filter_axiom_report(ctx: TwistedAlgebra, rng, per_point: int = 6) -> dict:
+def filter_axiom_report(ctx: TwistedAlgebra, rng) -> dict:
     ok = True
     for g in ctx.groupoid.elements:
         u = ultrafilter_at(ctx, g)
-        sample = [ctx.delta(g)] + [_monomial_through(ctx, g, rng) for _ in range(per_point)]
-        sample += [random_monomial(ctx, rng) for _ in range(per_point)]
+        sample = [ctx.delta(g)] + [_monomial_through(ctx, g, rng) for _ in range(6)]
+        sample += [random_monomial(ctx, rng) for _ in range(6)]
         rep = check_filter_axioms(u, sample)
         ok = ok and rep["proper"] and rep["down_directed"] and rep["up_closed"] \
             and rep["additively_prime"]
@@ -623,8 +624,8 @@ def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
     and runs the ultrafilter, state, twist and hat suites.
     """
     spec = spec if spec is not None else SemigroupSpec.monomial(ctx)
-    rng = substream(seed, "reconstruct", ctx.name, spec.describe())
-    cartan = check_cartan(spec, substream(seed, "reconstruct-cartan", ctx.name, spec.describe()))
+    rng = substream(seed, "reconstruct", ctx.name, spec.kind)
+    cartan = check_cartan(spec, substream(seed, "reconstruct-cartan", ctx.name, spec.kind))
     if not cartan.cartan:
         raise NotCartanError(cartan.failures())
 

@@ -1,15 +1,14 @@
 """Cartan semigroup specs: membership predicates, axiom checks, csum closures.
 
 A semigroup spec is a predicate plus generator enumeration, never a
-materialized set.  Four base kinds are supported:
+materialized set.  Four kinds are supported:
 
-  monomial   support is a bisection
-  basis      support lies in a fixed family of bisections
+  monomial     support is a bisection
+  basis        support lies in a fixed family of bisections
   normalizers  n delta_u n* and n* delta_u n diagonal for every unit u
-  explicit   membership in a literal finite list (for negative tests)
-
-plus the derived kind csum, the closure under finite compatible sums
-(m, n compatible iff m*n and mn* are diagonal).
+  csum         support is a bisection covered by a basis: the closure of a basis
+               spec under finite compatible sums (m, n compatible iff m*n and
+               mn* are diagonal); the other kinds are their own closures
 """
 
 from __future__ import annotations
@@ -79,8 +78,6 @@ class SemigroupSpec:
     ctx: TwistedAlgebra
     kind: str
     basis: BisectionBasis | None = None
-    listed: tuple[AlgebraElement, ...] = ()
-    inner: "SemigroupSpec | None" = None
 
     @staticmethod
     def monomial(ctx) -> "SemigroupSpec":
@@ -93,15 +90,6 @@ class SemigroupSpec:
     @staticmethod
     def normalizers(ctx) -> "SemigroupSpec":
         return SemigroupSpec(ctx, "normalizers")
-
-    @staticmethod
-    def explicit(ctx, elements) -> "SemigroupSpec":
-        return SemigroupSpec(ctx, "explicit", listed=tuple(elements))
-
-    def describe(self) -> str:
-        if self.kind == "csum":
-            return f"csum({self.inner.describe()})"
-        return self.kind
 
 
 def _is_normalizer(ctx: TwistedAlgebra, a: AlgebraElement) -> bool:
@@ -127,10 +115,10 @@ def membership(spec: SemigroupSpec, a: AlgebraElement) -> bool:
         return frozenset(a.support()) in spec.basis
     if spec.kind == "normalizers":
         return _is_normalizer(ctx, a)
-    if spec.kind == "explicit":
-        return any(a.approx_eq(e) for e in spec.listed)
     if spec.kind == "csum":
-        return _csum_membership(spec.inner, a)
+        # Compatible sums of basis monomials: the bisections the basis covers.
+        supp = a.support()
+        return is_bisection(ctx.groupoid, supp) and all(g in spec.basis.covered for g in supp)
     raise InputError(f"unknown semigroup kind {spec.kind!r}")
 
 
@@ -139,58 +127,28 @@ def compatible(m: AlgebraElement, n: AlgebraElement) -> bool:
     return is_diagonal(m.star() * n) and is_diagonal(m * n.star())
 
 
-def _csum_membership(inner: SemigroupSpec, a: AlgebraElement) -> bool:
-    ctx = inner.ctx
-    if inner.kind == "monomial":
-        return is_monomial(a)
-    if inner.kind == "normalizers":
-        # The normalizer semigroup is already closed under compatible sums.
-        return _is_normalizer(ctx, a)
-    if inner.kind == "basis":
-        # A compatible sum of basis-supported monomials is any bisection-
-        # supported element whose support points are covered by the basis.
-        supp = a.support()
-        return is_bisection(ctx.groupoid, supp) and all(g in inner.basis.covered for g in supp)
-    if inner.kind == "explicit":
-        listed = [e for e in inner.listed if not e.is_zero()]
-        for k in range(1, len(listed) + 1):
-            for combo in itertools.combinations(listed, k):
-                if not all(compatible(x, y) for x, y in itertools.combinations(combo, 2)):
-                    continue
-                total = combo[0]
-                for e in combo[1:]:
-                    total = total + e
-                if a.approx_eq(total):
-                    return True
-        return a.is_zero()
-    raise InputError(f"csum over unsupported kind {inner.kind!r}")
-
-
 def csum_closure(spec: SemigroupSpec) -> SemigroupSpec:
-    """Closure of a spec under finite compatible sums, as a new predicate."""
-    if spec.kind == "csum":
+    """Closure of a spec under finite compatible sums; only a basis spec grows."""
+    if spec.kind != "basis":
         return spec
-    return SemigroupSpec(spec.ctx, "csum", basis=spec.basis, listed=spec.listed, inner=spec)
+    return SemigroupSpec(spec.ctx, "csum", basis=spec.basis)
 
 
 # -- sampling -------------------------------------------------------------------
 
 
-def random_coeff(rng, min_mag: float = 0.3, max_mag: float = 2.0) -> complex:
-    mag = min_mag + (max_mag - min_mag) * rng.random()
+def random_coeff(rng) -> complex:
+    mag = 0.3 + (2.0 - 0.3) * rng.random()
     return mag * np.exp(2j * np.pi * rng.random())
 
 
-def random_monomial(ctx: TwistedAlgebra, rng, max_size: int | None = None) -> AlgebraElement:
+def random_monomial(ctx: TwistedAlgebra, rng) -> AlgebraElement:
     """Random element supported on a random bisection."""
     gpd = ctx.groupoid
     order = list(gpd.elements)
     rng.shuffle(order)
     chosen, used_s, used_r = [], set(), set()
-    limit = max_size if max_size is not None else len(order)
     for g in order:
-        if len(chosen) >= limit:
-            break
         if gpd.source[g] in used_s or gpd.range[g] in used_r:
             continue
         if rng.random() < 0.75:
@@ -208,10 +166,10 @@ def random_diagonal(ctx: TwistedAlgebra, rng, positive: bool = False) -> Algebra
     return AlgebraElement(ctx, out)
 
 
-def random_element(ctx: TwistedAlgebra, rng, density: float = 0.7) -> AlgebraElement:
+def random_element(ctx: TwistedAlgebra, rng) -> AlgebraElement:
     return AlgebraElement(
         ctx,
-        {g: random_coeff(rng) for g in ctx.groupoid.elements if rng.random() < density},
+        {g: random_coeff(rng) for g in ctx.groupoid.elements if rng.random() < 0.7},
     )
 
 
@@ -243,13 +201,8 @@ def _isotropy_unitary_candidates(ctx: TwistedAlgebra, rng, count: int):
 def sample_members(spec: SemigroupSpec, rng, count: int = 40) -> list[AlgebraElement]:
     """Generators plus random members of the spec's semigroup."""
     ctx = spec.ctx
-    base = spec.inner if spec.kind == "csum" else spec
-    members: list[AlgebraElement] = []
-    if base.kind == "explicit":
-        members.extend(base.listed)
-        return members
-    covered = base.basis.covered if base.kind == "basis" else set(ctx.groupoid.elements)
-    members.extend(ctx.delta(g, random_coeff(rng)) for g in ctx.groupoid.elements if g in covered)
+    covered = spec.basis.covered if spec.basis is not None else set(ctx.groupoid.elements)
+    members = [ctx.delta(g, random_coeff(rng)) for g in ctx.groupoid.elements if g in covered]
     members.append(ctx.zero())
     members.extend(random_diagonal(ctx, rng) for _ in range(count // 4))
     attempts = 0
@@ -258,7 +211,7 @@ def sample_members(spec: SemigroupSpec, rng, count: int = 40) -> list[AlgebraEle
         cand = random_monomial(ctx, rng)
         if membership(spec, cand):
             members.append(cand)
-    if base.kind == "normalizers":
+    if spec.kind == "normalizers":
         for cand in _isotropy_unitary_candidates(ctx, rng, count // 4):
             if membership(spec, cand):
                 members.append(cand)
@@ -268,15 +221,15 @@ def sample_members(spec: SemigroupSpec, rng, count: int = 40) -> list[AlgebraEle
 # -- axiom checking ---------------------------------------------------------------
 
 
-def span_rank(vectors, tol: float = 1e-9) -> int:
-    mat = np.array([v for v in vectors if np.linalg.norm(v) > tol])
+def span_rank(vectors) -> int:
+    mat = np.array([v for v in vectors if np.linalg.norm(v) > 1e-9])
     if mat.size == 0:
         return 0
     return int(np.linalg.matrix_rank(mat, tol=1e-8))
 
 
-def _orthonormal_basis(vectors, tol: float = 1e-9) -> np.ndarray:
-    mat = np.array([v for v in vectors if np.linalg.norm(v) > tol])
+def _orthonormal_basis(vectors) -> np.ndarray:
+    mat = np.array([v for v in vectors if np.linalg.norm(v) > 1e-9])
     if mat.size == 0:
         return np.zeros((0, 0), dtype=complex)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
@@ -354,23 +307,20 @@ class CartanReport:
         return {"cartan": self.cartan, **asdict(self)}
 
 
-def _bisection_pattern_pairs(ctx, spec, limit: int = 250):
-    """Deterministic unit-coefficient members for exhaustive pair sweeps."""
-    base = spec.inner if spec.kind == "csum" else spec
-    if base.kind == "explicit":
-        return [e for e in base.listed if not e.is_zero()]
+def _bisection_pattern_pairs(ctx, spec):
+    """The first 250 unit-coefficient bisection members, for pair sweeps."""
     patterns = [p for p in all_bisections(ctx.groupoid) if p]
     out = []
     for p in patterns:
         elem = AlgebraElement(ctx, {g: 1 + 0j for g in p})
         if membership(spec, elem):
             out.append(elem)
-        if len(out) >= limit:
+        if len(out) >= 250:
             break
     return out
 
 
-def check_cartan(spec: SemigroupSpec, rng, draws: int = 100) -> CartanReport:
+def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
     """Verify each axiom of a Cartan semigroup plus summability, with witnesses.
 
     Closure and stability are checked on the monomial generators plus
@@ -382,9 +332,8 @@ def check_cartan(spec: SemigroupSpec, rng, draws: int = 100) -> CartanReport:
     samples random coefficients.
     """
     ctx = spec.ctx
+    draws = 100
     members = sample_members(spec, rng)
-    if not members:
-        members = [ctx.zero()]
 
     star_ok, star_witness = True, None
     pool = members[: 3 * draws]

@@ -299,8 +299,7 @@ def expectation_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 200) -
 # -- norms ---------------------------------------------------------------------------
 
 
-def norms_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 100,
-                mc_trials: int = 200) -> dict:
+def norms_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
     """Norm laws: delta norms, the C*-identity, faithfulness, and the
     reduced-norm formula probe."""
     rng = substream(seed, "norms", ctx.name)
@@ -314,7 +313,7 @@ def norms_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 100,
     homog_res = 0.0
     faithful_ok = True
     hom_res = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         a = random_element(ctx, rng)
         b = random_element(ctx, rng)
         z = complex(rng.normal(), rng.normal())
@@ -329,7 +328,7 @@ def norms_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 100,
             hom_res = max(hom_res, float(np.abs(ia.blocks[u] @ ib.blocks[u] - iab.blocks[u]).max()))
             hom_res = max(hom_res, float(np.abs(ia.blocks[u].conj().T - istar.blocks[u]).max()))
     mc = check_reduced_norm_formula(
-        random_element(ctx, rng), trials=mc_trials, rng=substream(seed, "norms-mc", ctx.name)
+        random_element(ctx, rng), trials=200, rng=substream(seed, "norms-mc", ctx.name)
     )
     passed = (delta_ok and sup_ok and cstar_res < 1e-9 and homog_res < 1e-9
               and faithful_ok and hom_res < 1e-9 and mc["upper_bound_ok"] and mc["gap_ok"])
@@ -352,10 +351,10 @@ def norms_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 100,
 def cartan_suite(ctx: TwistedAlgebra, seed: int = 42,
                  spec: SemigroupSpec | None = None) -> dict:
     spec = spec if spec is not None else SemigroupSpec.monomial(ctx)
-    report = check_cartan(spec, substream(seed, "cartan", ctx.name, spec.describe()))
+    report = check_cartan(spec, substream(seed, "cartan", ctx.name, spec.kind))
     out = report.to_dict()
     out["context"] = ctx.name
-    out["spec"] = spec.describe()
+    out["spec"] = spec.kind
     out["passed"] = report.cartan
     return out
 

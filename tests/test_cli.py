@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -245,6 +246,28 @@ def _recovered_cocycle_as_list(text):
     return json.dumps(doc)
 
 
+def _set_p1p1(value):
+    """A report mutation: the rebuilt groupoid's entry p1|p1 set to value, or dropped."""
+    def mutate(text):
+        doc = json.loads(text)
+        compose = doc["reconstruction"]["rebuilt_groupoid"]["compose"]
+        del compose["p1|p1"]
+        if value is not None:
+            compose["p1|p1"] = value
+        return json.dumps(doc)
+    return mutate
+
+
+def _compare_with_good(tmp_path, mutate):
+    good = _report(tmp_path, lambda text: text).rename(tmp_path / "good.json")
+    return ["compare", good, _report(tmp_path, mutate)]
+
+
+def _basis_with(tmp_path, element):
+    path = _write_json(tmp_path / "basis.json", {"bisections": [[element]]})
+    return ["--semigroup", f"basis:{path}"]
+
+
 # case -> (argv for a tmp_path, error kind in the report, or None for no report)
 CONTRACT_CASES = {
     "validate-cocycle-list": (lambda t: ["validate", _cocycle_as_list(t)], "input"),
@@ -255,6 +278,13 @@ CONTRACT_CASES = {
         lambda t: ["compare", *[_report(t, _recovered_cocycle_as_list)] * 2], "input"),
     "compare-truncated-report": (
         lambda t: ["compare", *[_report(t, lambda text: text[:200])] * 2], "parse"),
+    "compare-compose-entry-missing": (lambda t: _compare_with_good(t, _set_p1p1(None)), "input"),
+    "compare-compose-unknown-id": (lambda t: _compare_with_good(t, _set_p1p1("p9")), "input"),
+    "reconstruct-basis-list-id": (
+        lambda t: ["reconstruct", FIXDIR / "r2.json", *_basis_with(t, ["(1,2)"])], "input"),
+    "suite-basis-object-id": (
+        lambda t: ["suite", FIXDIR / "r2.json", "--suite", "cartan", *_basis_with(t, {"a": 1})],
+        "input"),
     "reconstruct-empty-groupoid": (
         lambda t: ["reconstruct", _write_json(t / "empty.json", EMPTY_GROUPOID)], "input"),
     "suite-empty-groupoid": (
@@ -325,3 +355,61 @@ def test_exit_code_contract_under_mutation(text, command):
         path = Path(tmp) / "g.json"
         path.write_text(text)
         assert run(command, path, "--out", Path(tmp) / "report.json") in (0, 1, 2, 3)
+
+
+@functools.cache
+def _z2_report_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "z2_report.json"
+        assert run("reconstruct", FIXDIR / "z2.json", "--out", out) == 0
+        return out.read_text()
+
+
+@st.composite
+def mutated_reports(draw):
+    """The z2 report's text after dropped keys or swapped value types in its rebuilt
+    groupoid and recovered cocycle, or after truncation."""
+    doc = json.loads(_z2_report_text())
+    rec = doc["reconstruction"]
+    for _ in range(draw(st.integers(0, 3))):
+        paths = [p for p in _json_paths(rec) if p[0] in ("rebuilt_groupoid", "recovered_cocycle")]
+        if not paths:
+            break
+        # Whole tables half of the time, so that a table of the wrong type is common.
+        path = draw(st.sampled_from([p for p in paths if len(p) <= 2]) | st.sampled_from(paths))
+        parent = rec
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_reports())
+def test_compare_contract_under_mutation(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        good, bad = Path(tmp) / "good.json", Path(tmp) / "bad.json"
+        good.write_text(_z2_report_text())
+        bad.write_text(text)
+        assert run("compare", good, bad, "--out", Path(tmp) / "cmp.json") in (0, 1, 2, 3)
+
+
+# Loose tolerances make two routes to one value disagree: exit 4 with a report.
+CONSISTENCY_CASES = {
+    "z2-tol-3": ["reconstruct", FIXDIR / "z2.json", "--tol", 3],
+    "v4_pauli-tol-1e-300": ["reconstruct", FIXDIR / "v4_pauli.json", "--tol", "1e-300"],
+    "relations-tol-0.5": ["suite", FIXDIR / "r2.json", "--suite", "relations", "--tol", 0.5],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSISTENCY_CASES))
+def test_consistency_errors_exit_4(case, capsys):
+    assert run(*CONSISTENCY_CASES[case]) == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "consistency" and error["message"]

@@ -212,7 +212,9 @@ def test_reconstruct_with_offdiag_basis(r2):
 
 
 def test_reconstruct_refuses_non_cartan(r2):
-    spec = SemigroupSpec.explicit(r2, [r2.delta(u) for u in r2.groupoid.units])
+    units = list(r2.groupoid.units)
+    basis = BisectionBasis(r2.groupoid, [[], units, [units[0]], [units[1]]])
+    spec = SemigroupSpec.basis_restricted(r2, basis)
     with pytest.raises(NotCartanError) as err:
         reconstruct(r2, spec)
     assert any("dense span" in f for f in err.value.failures)

@@ -79,7 +79,9 @@ def test_basis_spec_cartan_but_not_summable(r2):
 
 
 def test_explicit_spec_fails_dense_span(r2):
-    spec = SemigroupSpec.explicit(r2, [r2.delta(u) for u in r2.groupoid.units])
+    units = list(r2.groupoid.units)
+    basis = BisectionBasis(r2.groupoid, [[], units, [units[0]], [units[1]]])
+    spec = SemigroupSpec.basis_restricted(r2, basis)
     report = check_cartan(spec, substream(5, "explicit"))
     assert not report.dense_span
     assert report.span_dimension == 2
@@ -107,6 +109,14 @@ def test_csum_of_offdiag_basis_is_full_monomial(r2):
     m, n = r2.delta("(1,2)"), r2.delta("(2,1)")
     assert compatible(m, n)
     assert membership(closed, m + n)
+
+
+def test_csum_closure_of_closed_kinds_is_the_spec(r2):
+    for spec in (SemigroupSpec.monomial(r2), SemigroupSpec.normalizers(r2)):
+        assert csum_closure(spec) is spec
+    closed = csum_closure(SemigroupSpec.basis_restricted(r2, offdiag_basis(r2)))
+    assert closed.kind == "csum"
+    assert csum_closure(closed) is closed
 
 
 def test_csum_preserves_cartan(r2):
@@ -195,10 +205,3 @@ def test_right_identity_transfers_to_adjoint(r3, rng):
             continue
         assert max_coeff_diff(m * n, m) < 1e-12
         assert max_coeff_diff(m * n.star(), m) < 1e-12
-
-
-def test_explicit_csum_enumerates_sums(r2):
-    spec = SemigroupSpec.explicit(r2, [r2.delta("(1,2)"), r2.delta("(2,1)")])
-    closed = csum_closure(spec)
-    assert membership(closed, r2.delta("(1,2)") + r2.delta("(2,1)"))
-    assert not membership(closed, r2.delta("(1,1)"))
