@@ -9,6 +9,7 @@ import numpy as np
 
 from twistalg import (
     cstar_norm,
+    diagonal,
     regular_representation,
     standard_contexts,
     validate_groupoid,
@@ -50,5 +51,5 @@ print("== the diagonal map is the expectation onto the unit space ==")
 z4 = ctxs["Z4"]
 elem = 3 * z4.delta("0") + 1j * z4.delta("1")
 print("a       =", elem)
-print("E(a)    =", elem.diagonal_part())
-print("|E(a)| <= |a|:", cstar_norm(elem.diagonal_part()) <= cstar_norm(elem) + 1e-12)
+print("E(a)    =", diagonal(elem))
+print("|E(a)| <= |a|:", cstar_norm(diagonal(elem)) <= cstar_norm(elem) + 1e-12)

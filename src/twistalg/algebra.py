@@ -312,12 +312,6 @@ class AlgebraElement:
     def star(self) -> "AlgebraElement":
         return involution(self)
 
-    def diagonal_part(self) -> "AlgebraElement":
-        return diagonal(self)
-
-    def norm(self) -> float:
-        return cstar_norm(self)
-
     def approx_eq(self, other: "AlgebraElement") -> bool:
         self._same_context(other)
         return max_coeff_diff(self, other) <= self.ctx.zero_tol

@@ -103,7 +103,7 @@ def cmd_validate(path: str, config: RunConfig) -> tuple[dict, int]:
 def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
     ctx = _load_context(path, config)
     report = reconstruct(ctx, _resolve_spec(ctx, config), seed=config.seed,
-                         iso_budget=config.iso_budget, tolerance=config.tolerance)
+                         iso_budget=config.iso_budget)
     if report.isomorphism["status"] == "inconclusive":
         code = EXIT_INCONCLUSIVE
     else:

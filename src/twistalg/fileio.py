@@ -131,8 +131,8 @@ def _jsonable(x):
         return float(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, (set, frozenset, tuple)):
-        return sorted(x) if isinstance(x, (set, frozenset)) else list(x)
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
     raise TypeError(f"not JSON serializable: {type(x).__name__}")
 
 

@@ -203,12 +203,13 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     out = table_violations(g)
     if any(v.axiom not in _POINT_AXIOMS for v in out):
         return ValidationReport(tuple(out))
+    # A point-axiom violation can leave these pairs uncomposable; then the law fails.
     for a in g.elements:
-        if g.compose[(g.inverse[a], a)] != g.source[a]:
+        if g.compose.get((g.inverse[a], a)) != g.source[a]:
             out.append(Violation("inverse-law", (a,), "inverse(g)*g != source(g)"))
-        if g.compose[(a, g.inverse[a])] != g.range[a]:
+        if g.compose.get((a, g.inverse[a])) != g.range[a]:
             out.append(Violation("inverse-law", (a,), "g*inverse(g) != range(g)"))
-        if g.compose[(a, g.source[a])] != a or g.compose[(g.range[a], a)] != a:
+        if g.compose.get((a, g.source[a])) != a or g.compose.get((g.range[a], a)) != a:
             out.append(Violation("unit-law", (a,), "units do not act as identities"))
     for a, b, c in itertools.product(g.elements, repeat=3):
         if g.source[a] == g.range[b] and g.source[b] == g.range[c]:

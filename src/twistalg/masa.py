@@ -28,9 +28,10 @@ from .errors import ConsistencyError, InputError
 from .groupoid import is_effective
 from .relations import general_restriction_le
 from .semigroups import (
+    EXHAUSTIVE_SWEEP_ELEMENTS,
     SemigroupSpec,
-    compatible,
     csum_closure,
+    first_unsummable,
     membership,
     random_diagonal,
     random_element,
@@ -55,13 +56,12 @@ def commutant_basis(ctx: TwistedAlgebra) -> CommutantBasis:
     n = len(gpd.elements)
     # Stack the linear maps a -> [pi(delta_u), pi(a)] over all units; the
     # commutant is the null space.
+    unit_imgs = [regular_representation(ctx.delta(u)) for u in gpd.units]
     columns = []
     for g in gpd.elements:
-        d = ctx.delta(g)
+        g_img = regular_representation(ctx.delta(g))
         col = []
-        for u in gpd.units:
-            du_img = regular_representation(ctx.delta(u))
-            g_img = regular_representation(d)
+        for du_img in unit_imgs:
             for unit in gpd.units:
                 bu, bg = du_img.blocks[unit], g_img.blocks[unit]
                 col.append((bu @ bg - bg @ bu).ravel())
@@ -103,6 +103,14 @@ def is_masa(ctx: TwistedAlgebra) -> bool:
     return algebraic
 
 
+def _swept_supports(ctx: TwistedAlgebra):
+    """Every nonempty support pattern, on groupoids small enough to sweep; else none."""
+    elems = ctx.groupoid.elements
+    if len(elems) <= EXHAUSTIVE_SWEEP_ELEMENTS:
+        for k in range(1, len(elems) + 1):
+            yield from itertools.combinations(elems, k)
+
+
 # -- theorem: MASA implies csum(N) = N(B) ---------------------------------------------
 
 
@@ -129,23 +137,15 @@ def masa_implies_normalisers(ctx: TwistedAlgebra, rng) -> dict:
         if not agree(a):
             disagreements.append(repr(a))
             break
-    swept = False
-    if len(ctx.groupoid.elements) <= 6:
-        swept = True
-        elems = ctx.groupoid.elements
-        for pattern in itertools.chain.from_iterable(
-            itertools.combinations(elems, k) for k in range(1, len(elems) + 1)
-        ):
-            for _ in range(2):
-                a = AlgebraElement(
-                    ctx, {g: complex(0.3 + rng.random(), rng.random()) for g in pattern}
-                )
-                if not agree(a):
-                    disagreements.append(repr(a))
+    for pattern in _swept_supports(ctx):
+        for _ in range(2):
+            a = AlgebraElement(ctx, {g: complex(0.3 + rng.random(), rng.random()) for g in pattern})
+            if not agree(a):
+                disagreements.append(repr(a))
     return {
         "status": "checked",
         "passed": not disagreements,
-        "swept": swept,
+        "swept": len(ctx.groupoid.elements) <= EXHAUSTIVE_SWEEP_ELEMENTS,
         "disagreements": disagreements[:3],
     }
 
@@ -239,14 +239,10 @@ def _normalizer_pool(ctx: TwistedAlgebra, rng, samples: int) -> list[AlgebraElem
         pool.append(n)
     except InputError:
         pass
-    if len(ctx.groupoid.elements) <= 6:
-        elems = ctx.groupoid.elements
-        for pattern in itertools.chain.from_iterable(
-            itertools.combinations(elems, k) for k in range(1, len(elems) + 1)
-        ):
-            a = AlgebraElement(ctx, {g: complex(1.0) for g in pattern})
-            if membership(SemigroupSpec.normalizers(ctx), a):
-                pool.append(a)
+    for pattern in _swept_supports(ctx):
+        a = AlgebraElement(ctx, {g: complex(1.0) for g in pattern})
+        if membership(SemigroupSpec.normalizers(ctx), a):
+            pool.append(a)
     return pool
 
 
@@ -285,17 +281,10 @@ def summable_normalizers_report(ctx: TwistedAlgebra, rng) -> dict:
     """The normalizer semigroup is closed under compatible sums, on samples."""
     normal = SemigroupSpec.normalizers(ctx)
     samples = 40
-    ok, witness = True, None
     pool = sample_members(normal, rng, samples)
-    for _ in range(samples):
-        n = pool[int(rng.integers(len(pool)))]
-        b1, b2 = random_diagonal(ctx, rng), random_diagonal(ctx, rng)
-        m1, m2 = n * b1, n * b2
-        if compatible(m1, m2) and not membership(normal, m1 + m2):
-            ok, witness = False, (repr(m1), repr(m2))
-            break
-    for m1, m2 in itertools.combinations(pool[: samples // 2], 2):
-        if compatible(m1, m2) and not membership(normal, m1 + m2):
-            ok, witness = False, (repr(m1), repr(m2))
-            break
-    return {"passed": ok, "witness": witness}
+    picks = (pool[int(rng.integers(len(pool)))] for _ in range(samples))
+    scaled = ((n * random_diagonal(ctx, rng), n * random_diagonal(ctx, rng)) for n in picks)
+    # Both streams run; the second one's witness is reported when both fail.
+    first = first_unsummable(normal, scaled)
+    witness = first_unsummable(normal, itertools.combinations(pool[: samples // 2], 2)) or first
+    return {"passed": witness is None, "witness": witness}

@@ -28,7 +28,7 @@ from .algebra import (
     max_coeff_diff,
 )
 from .errors import ConsistencyError, InputError, NotCartanError
-from .groupoid import FiniteGroupoid, groupoids_isomorphic, validate_groupoid
+from .groupoid import FiniteGroupoid, groupoids_isomorphic, subset_product, validate_groupoid
 from .relations import dominates
 from .semigroups import (
     SemigroupSpec,
@@ -155,7 +155,7 @@ def magnitude(u: Ultrafilter, n: AlgebraElement) -> float:
         raise InputError("magnitude requires membership in the ultrafilter")
     val = source_state(u, diagonal(n.star() * n))
     if abs(val.imag) > 1e-9 or val.real < 0:
-        raise ConsistencyError(f"state of n*n not positive at {u.g!r}: {val!r}")
+        raise ConsistencyError(f"state of n*n not positive at {u.g!r}: {complex(val)!r}")
     return float(np.sqrt(val.real))
 
 
@@ -173,7 +173,8 @@ def angle(u: Ultrafilter, m: AlgebraElement, n: AlgebraElement) -> complex:
     direct = mg * ng.conjugate() / abs(mg * ng.conjugate())
     if abs(formula - direct) > 1e-9:
         raise ConsistencyError(
-            f"angle formula {formula!r} disagrees with direct phase {direct!r} at {u.g!r}"
+            f"angle formula {complex(formula)!r} disagrees with direct phase "
+            f"{complex(direct)!r} at {u.g!r}"
         )
     return formula
 
@@ -299,14 +300,7 @@ def product_criterion_report(ctx: TwistedAlgebra, rng) -> dict:
     for _ in range(40):
         m = random_monomial(ctx, rng)
         n = random_monomial(ctx, rng)
-        lhs = basic_set(ctx, m * n)
-        rhs = set()
-        for x in m.support():
-            for y in n.support():
-                prod = gpd.product(x, y)
-                if prod is not None:
-                    rhs.add(prod)
-        if lhs != frozenset(rhs):
+        if basic_set(ctx, m * n) != subset_product(gpd, m.support(), n.support()):
             identity_ok, id_witness = False, (repr(m), repr(n))
             break
     return {
@@ -342,20 +336,10 @@ def unit_space_report(ctx: TwistedAlgebra, rng) -> dict:
     )
     # h(U) = B minus U is the kernel of evaluation at the unit, and distinct
     # units give distinct kernels.
-    kernel_ok = True
-    for u in gpd.units:
-        uf = ultrafilter_at(ctx, u)
-        for v in gpd.units:
-            b = ctx.delta(v)
-            in_kernel = not uf.contains(b)
-            if in_kernel != (abs(b.coeff(u)) <= ctx.zero_tol):
-                kernel_ok = False
-    for _ in range(samples // 2):
-        b = random_diagonal(ctx, rng)
-        for u in gpd.units:
-            uf = ultrafilter_at(ctx, u)
-            if (not uf.contains(b)) != (abs(b.coeff(u)) <= ctx.zero_tol):
-                kernel_ok = False
+    probes = [ctx.delta(v) for v in gpd.units]
+    probes += [random_diagonal(ctx, rng) for _ in range(samples // 2)]
+    kernel_ok = all((not ultrafilter_at(ctx, u).contains(b)) == (abs(b.coeff(u)) <= ctx.zero_tol)
+                    for b in probes for u in gpd.units)
     distinct_ok = len({frozenset(v for v in gpd.units if abs(ctx.delta(v).coeff(u)) > 0)
                        for u in gpd.units}) == len(gpd.units)
     hausdorff_ok = True
@@ -406,9 +390,10 @@ def domination_inclusion_report(ctx: TwistedAlgebra, rng) -> dict:
     return {"passed": ok, "witness": witness}
 
 
-def states_report(ctx: TwistedAlgebra, rng, samples: int = 100) -> dict:
+def states_report(ctx: TwistedAlgebra, rng) -> dict:
     """State and angle laws at every point, on seeded samples."""
     gpd = ctx.groupoid
+    samples = 100
     quotient_res = 0.0
     magnitude_res = 0.0
     emn_res = 0.0
@@ -476,10 +461,11 @@ def states_report(ctx: TwistedAlgebra, rng, samples: int = 100) -> dict:
     }
 
 
-def twist_report(ctx: TwistedAlgebra, rng, samples: int = 100) -> dict:
+def twist_report(ctx: TwistedAlgebra, rng) -> dict:
     """Twist-point arithmetic against class arithmetic, and class equality
     against the point equivalence."""
     gpd = ctx.groupoid
+    samples = 100
     class_ok = True
     law_ok = True
     for _ in range(samples):
@@ -615,13 +601,13 @@ class ReconstructionReport:
 
 
 def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
-                seed: int = 42, iso_budget: int = 10**6,
-                tolerance: float = 1e-9) -> ReconstructionReport:
+                seed: int = 42, iso_budget: int = 10**6) -> ReconstructionReport:
     """Round-trip reconstruction of the groupoid and twist from a Cartan spec.
 
     Refuses non-Cartan specs, rebuilds the groupoid from ultrafilters,
     searches for an isomorphism with the original, recovers the cocycle,
-    and runs the ultrafilter, state, twist and hat suites.
+    and runs the ultrafilter, state, twist and hat suites.  The report's
+    tolerance is the context's zero tolerance.
     """
     spec = spec if spec is not None else SemigroupSpec.monomial(ctx)
     rng = substream(seed, "reconstruct", ctx.name, spec.kind)
@@ -669,7 +655,7 @@ def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
     return ReconstructionReport(
         context=ctx.name,
         seed=seed,
-        tolerance=tolerance,
+        tolerance=ctx.zero_tol,
         cartan=cartan.to_dict(),
         isomorphism=iso.to_dict(),
         cocycle_residual=residual,

@@ -29,6 +29,9 @@ from .algebra import (
 from .errors import InputError
 from .groupoid import all_bisections, is_bisection, subset_inverse, subset_product
 
+EXHAUSTIVE_SWEEP_ELEMENTS = 6  # support sweeps cover every pattern up to this size
+SWEEP_PATTERN_CAP = 250  # bisection patterns in the summability pair sweep
+
 
 class BisectionBasis:
     """A family of bisections closed under subsets, products and inverses,
@@ -127,6 +130,14 @@ def compatible(m: AlgebraElement, n: AlgebraElement) -> bool:
     return is_diagonal(m.star() * n) and is_diagonal(m * n.star())
 
 
+def first_unsummable(spec: SemigroupSpec, pairs) -> tuple[str, str] | None:
+    """(repr(m), repr(n)) for the first compatible pair whose sum is not a member."""
+    for m, n in pairs:
+        if compatible(m, n) and not membership(spec, m + n):
+            return repr(m), repr(n)
+    return None
+
+
 def csum_closure(spec: SemigroupSpec) -> SemigroupSpec:
     """Closure of a spec under finite compatible sums; only a basis spec grows."""
     if spec.kind != "basis":
@@ -221,13 +232,6 @@ def sample_members(spec: SemigroupSpec, rng, count: int = 40) -> list[AlgebraEle
 # -- axiom checking ---------------------------------------------------------------
 
 
-def span_rank(vectors) -> int:
-    mat = np.array([v for v in vectors if np.linalg.norm(v) > 1e-9])
-    if mat.size == 0:
-        return 0
-    return int(np.linalg.matrix_rank(mat, tol=1e-8))
-
-
 def _orthonormal_basis(vectors) -> np.ndarray:
     mat = np.array([v for v in vectors if np.linalg.norm(v) > 1e-9])
     if mat.size == 0:
@@ -308,14 +312,14 @@ class CartanReport:
 
 
 def _bisection_pattern_pairs(ctx, spec):
-    """The first 250 unit-coefficient bisection members, for pair sweeps."""
+    """The first SWEEP_PATTERN_CAP unit-coefficient bisection members, for pair sweeps."""
     patterns = [p for p in all_bisections(ctx.groupoid) if p]
     out = []
     for p in patterns:
         elem = AlgebraElement(ctx, {g: 1 + 0j for g in p})
         if membership(spec, elem):
             out.append(elem)
-        if len(out) >= 250:
+        if len(out) >= SWEEP_PATTERN_CAP:
             break
     return out
 
@@ -327,9 +331,10 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
     random products; closure under scalars and multiplication by diagonal
     elements is exact for every supported kind, so generator-level checks
     suffice.  Span density is a rank computation.  Summability sweeps every
-    pair among the first 250 unit-coefficient bisection members of the spec,
-    which is exhaustive only when there are at most 250 of them, and then
-    samples random coefficients.
+    pair among the first SWEEP_PATTERN_CAP (250) unit-coefficient bisection
+    members of the spec (exhaustive only when there are no more), then samples
+    random coefficients; the MASA and expectation support sweeps are exhaustive
+    up to EXHAUSTIVE_SWEEP_ELEMENTS (6) groupoid elements and sampled above.
     """
     ctx = spec.ctx
     draws = 100
@@ -349,7 +354,7 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
                 star_ok, star_witness = False, f"product of {m!r} and {n!r}"
                 break
 
-    dim = span_rank([m.vector() for m in members])
+    dim = _orthonormal_basis([m.vector() for m in members]).shape[0]
     dense = dim == ctx.dimension
 
     b_basis = positive_cone_algebra(spec, members)
@@ -375,19 +380,11 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
             stable_ok, stable_witness = False, repr(m)
             break
 
-    summable_ok, summable_witness = True, None
     sweep = _bisection_pattern_pairs(ctx, spec)
-    pair_pool = list(itertools.combinations(sweep, 2)) if len(sweep) >= 2 else []
     random_pairs = [
         (pool[rng.integers(len(pool))], pool[rng.integers(len(pool))]) for _ in range(draws)
     ]
-    for m, n in pair_pool + random_pairs:
-        if not compatible(m, n):
-            continue
-        if not membership(spec, m + n):
-            summable_ok = False
-            summable_witness = (repr(m), repr(n))
-            break
+    summable_witness = first_unsummable(spec, [*itertools.combinations(sweep, 2), *random_pairs])
 
     return CartanReport(
         star_semigroup=star_ok,
@@ -400,7 +397,7 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
         b_witness=b_witness,
         stable=stable_ok,
         stable_witness=stable_witness,
-        summable=summable_ok,
+        summable=summable_witness is None,
         summable_witness=summable_witness,
     )
 

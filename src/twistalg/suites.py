@@ -25,7 +25,6 @@ from .groupoid import all_bisections
 from .masa import (
     cartan_criterion,
     commutant_basis,
-    is_masa,
     masa_implies_normalisers,
     normalisers_imply_masa_contrapositive,
     summable_normalizers_report,
@@ -44,6 +43,7 @@ from .relations import (
     verify_ball_certificate,
 )
 from .semigroups import (
+    EXHAUSTIVE_SWEEP_ELEMENTS,
     SemigroupSpec,
     check_cartan,
     random_coeff,
@@ -228,13 +228,14 @@ def _max_restriction_bound(n: AlgebraElement) -> AlgebraElement:
     return candidate
 
 
-def expectation_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 200) -> dict:
+def expectation_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
     """E as the restriction-maximal diagonal part, plus the interaction laws."""
     rng = substream(seed, "expectation", ctx.name)
     gpd = ctx.groupoid
+    samples = 200
 
     emax_ok = True
-    if len(gpd.elements) <= 6:
+    if len(gpd.elements) <= EXHAUSTIVE_SWEEP_ELEMENTS:
         sweep = []
         for pattern in all_bisections(gpd):
             if not pattern:
@@ -359,10 +360,10 @@ def cartan_suite(ctx: TwistedAlgebra, seed: int = 42,
     return out
 
 
-def states_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 100) -> dict:
-    states = states_report(ctx, substream(seed, "states", ctx.name), samples=samples)
-    twist = twist_report(ctx, substream(seed, "states-twist", ctx.name), samples=samples)
-    hats = hat_report(ctx, substream(seed, "states-hat", ctx.name), samples=samples // 2)
+def states_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
+    states = states_report(ctx, substream(seed, "states", ctx.name))
+    twist = twist_report(ctx, substream(seed, "states-twist", ctx.name))
+    hats = hat_report(ctx, substream(seed, "states-hat", ctx.name), samples=50)
     return {
         "context": ctx.name,
         "states": states,
@@ -374,7 +375,6 @@ def states_suite(ctx: TwistedAlgebra, seed: int = 42, samples: int = 100) -> dic
 
 def masa_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
     rng = substream(seed, "masa", ctx.name)
-    masa = is_masa(ctx)
     commutant = commutant_basis(ctx)
     iso_dim = sum(len(ctx.groupoid.isotropy(u)) for u in ctx.groupoid.units)
     forward = masa_implies_normalisers(ctx, substream(seed, "masa-forward", ctx.name))
@@ -390,7 +390,7 @@ def masa_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
     )
     return {
         "context": ctx.name,
-        "is_masa": masa,
+        "is_masa": criterion["is_masa"],
         "commutant_dimension": commutant.dimension,
         "isotropy_dimension": iso_dim,
         "masa_implies_normalisers": forward,

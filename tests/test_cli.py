@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistalg import standard_contexts
@@ -59,6 +59,21 @@ def test_validate_broken_composition(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     messages = [v["message"] for v in out["groupoid"]["violations"]]
     assert "non-composable pair composed" in messages
+
+
+def _r2_inverse_swap() -> dict:
+    """r2.json with an inverse that fixes a non-unit, so the inverse laws meet
+    pairs that are not composable."""
+    doc = json.loads((FIXDIR / "r2.json").read_text())
+    doc["inverse"]["(1,2)"] = "(1,2)"
+    return doc
+
+
+def test_validate_inverse_swap_names_the_laws(tmp_path, capsys):
+    assert run("validate", _write_json(tmp_path / "bad.json", _r2_inverse_swap())) == 1
+    out = json.loads(capsys.readouterr().out)
+    axioms = [v["axiom"] for v in out["groupoid"]["violations"]]
+    assert axioms == ["inverse-swaps", "inverse-involutive", "inverse-law", "inverse-law"]
 
 
 def test_validate_truncated_file(tmp_path, capsys):
@@ -285,6 +300,8 @@ CONTRACT_CASES = {
     "suite-basis-object-id": (
         lambda t: ["suite", FIXDIR / "r2.json", "--suite", "cartan", *_basis_with(t, {"a": 1})],
         "input"),
+    "reconstruct-inverse-swap": (
+        lambda t: ["reconstruct", _write_json(t / "swap.json", _r2_inverse_swap())], "input"),
     "reconstruct-empty-groupoid": (
         lambda t: ["reconstruct", _write_json(t / "empty.json", EMPTY_GROUPOID)], "input"),
     "suite-empty-groupoid": (
@@ -312,6 +329,7 @@ def test_contract_escapes_are_input_errors(case, tmp_path, capsys):
 
 
 _REPLACEMENTS = (None, True, 0, -1, 2.5, "", "x", "a|b", [], ["x", 1], {}, {"turns": [1, 0]})
+_ID_TABLES = ("source", "range", "inverse", "compose")
 
 
 def _json_paths(doc, prefix=()):
@@ -327,9 +345,16 @@ def _json_paths(doc, prefix=()):
 
 @st.composite
 def mutated_groupoid_files(draw):
-    """A fixture's text after dropped keys, swapped value types, or truncation."""
+    """A fixture's text after dropped keys, swapped value types, table values set to
+    another element id of the file, or truncation."""
     doc = json.loads((FIXDIR / draw(st.sampled_from(["z2.json", "r2.json"]))).read_text())
     for _ in range(draw(st.integers(0, 3))):
+        tables = [t for t in _ID_TABLES if isinstance(doc.get(t), dict) and doc[t]]
+        ids = doc.get("elements")
+        if tables and isinstance(ids, list) and ids and draw(st.booleans()):
+            table = doc[draw(st.sampled_from(tables))]
+            table[draw(st.sampled_from(sorted(table)))] = copy.deepcopy(draw(st.sampled_from(ids)))
+            continue
         paths = list(_json_paths(doc))
         # Whole tables half of the time, so that a table of the wrong type is common.
         path = draw(st.sampled_from([p for p in paths if len(p) == 1]) | st.sampled_from(paths))
@@ -350,6 +375,8 @@ def mutated_groupoid_files(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(text=mutated_groupoid_files(), command=st.sampled_from(["validate", "reconstruct"]))
+@example(text=json.dumps(_r2_inverse_swap()), command="validate")
+@example(text=json.dumps(_r2_inverse_swap()), command="reconstruct")
 def test_exit_code_contract_under_mutation(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.json"
@@ -413,3 +440,4 @@ def test_consistency_errors_exit_4(case, capsys):
     assert run(*CONSISTENCY_CASES[case]) == 4
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "consistency" and error["message"]
+    assert "np." not in error["message"]

@@ -20,7 +20,7 @@ from twistalg import (
 from twistalg.algebra import Cocycle, Phase, TwistedAlgebra, diagonal, max_coeff_diff
 from twistalg.errors import InputError
 from twistalg.fileio import dumps
-from twistalg.groupoid import FiniteGroupoid, cyclic_group
+from twistalg.groupoid import FiniteGroupoid, cyclic_group, full_relation
 from twistalg.reconstruction import (
     basic_set,
     equivalent_in,
@@ -197,6 +197,12 @@ def test_reconstruct_passes_and_is_deterministic(r2):
     rep2 = reconstruct(r2, seed=123)
     assert rep1.passed
     assert dumps(rep1.to_dict()) == dumps(rep2.to_dict())
+
+
+def test_reconstruct_records_the_context_tolerance():
+    ctx = TwistedAlgebra(full_relation(2), zero_tol=1e-7)
+    report = reconstruct(ctx)
+    assert report.tolerance == 1e-7 and report.passed
 
 
 def test_reconstruct_with_offdiag_basis(r2):
