@@ -8,8 +8,10 @@ the twisted convolution
 with involution a*(g) = conj(sigma(g, g^-1)) conj(a(g^-1)) and the
 diagonal map E restricting coefficients to the unit space.  Phases are
 kept as exact rational turns; coefficients are double-precision complex.
-The twist itself is never materialized as a set, it lives entirely in
-the cocycle and in (phase, element) pairs.
+Each context turns its cocycle into product and star tables of complex
+values once, and the coefficient kernels read only those tables.  The
+twist itself is never materialized as a set, it lives entirely in the
+cocycle and in (phase, element) pairs.
 """
 
 from __future__ import annotations
@@ -187,6 +189,17 @@ class TwistedAlgebra:
             raise InputError(f"invalid cocycle: {w['axiom']} at {w['witness']}")
         self.zero_tol = float(zero_tol)
         self.name = name or groupoid.name
+        # h -> k -> (hk, sigma(h, k)) and g -> (g^-1, conj(sigma(g^-1, g))), with the
+        # phases taken to complex once here for the coefficient kernels.
+        self._product = {g: {} for g in groupoid.elements}
+        for (h, k), hk in groupoid.compose.items():
+            self._product[h][k] = (hk, self.cocycle(h, k).complex)
+        self._star = {}
+        for g in groupoid.elements:
+            phase, ginv = self.delta_star(g)
+            self._star[g] = (ginv, phase.complex)
+        # The commutant basis, solved once by masa.commutant_basis.
+        self._commutant = None
 
     def __repr__(self) -> str:
         twisted = "twisted" if self.cocycle.values else "untwisted"
@@ -262,7 +275,8 @@ class AlgebraElement:
 
     def support(self, tol: float | None = None) -> tuple[str, ...]:
         t = self.ctx.zero_tol if tol is None else tol
-        return tuple(g for g in self.ctx.groupoid.elements if abs(self.coeffs.get(g, 0j)) > t)
+        return tuple(sorted((g for g, c in self.coeffs.items() if abs(c) > t),
+                            key=self.ctx.groupoid.index))
 
     def is_zero(self, tol: float | None = None) -> bool:
         return not self.support(tol)
@@ -328,30 +342,30 @@ def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """(a * b)(g) = sum over hk = g of sigma(h, k) a(h) b(k)."""
     a._same_context(b)
-    ctx = a.ctx
-    gpd = ctx.groupoid
+    product = a.ctx._product
+    nonzero_b = [(k, bk) for k, bk in b.coeffs.items() if bk != 0]
     out: dict[str, complex] = {}
     for h, ah in a.coeffs.items():
         if ah == 0:
             continue
-        for k, bk in b.coeffs.items():
-            if bk == 0:
+        row = product[h]
+        for k, bk in nonzero_b:
+            entry = row.get(k)
+            if entry is None:
                 continue
-            g = gpd.product(h, k)
-            if g is None:
-                continue
-            out[g] = out.get(g, 0j) + ctx.cocycle(h, k).complex * ah * bk
-    return AlgebraElement(ctx, out)
+            g, sigma = entry
+            out[g] = out.get(g, 0j) + sigma * ah * bk
+    return AlgebraElement(a.ctx, out)
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:
     """a*(g) = conj(sigma(g, g^-1)) conj(a(g^-1)); involutive, (ab)* = b*a*."""
-    ctx = a.ctx
+    star = a.ctx._star
     out: dict[str, complex] = {}
     for g, c in a.coeffs.items():
-        phase, ginv = ctx.delta_star(g)
-        out[ginv] = phase.complex * c.conjugate()
-    return AlgebraElement(ctx, out)
+        ginv, phase = star[g]
+        out[ginv] = phase * c.conjugate()
+    return AlgebraElement(a.ctx, out)
 
 
 def diagonal(a: AlgebraElement) -> AlgebraElement:
@@ -412,8 +426,8 @@ class MatrixImage:
 def regular_representation(a: AlgebraElement) -> MatrixImage:
     if a._blocks is not None:
         return a._blocks
-    ctx = a.ctx
-    gpd = ctx.groupoid
+    gpd = a.ctx.groupoid
+    product = a.ctx._product
     basis = {u: gpd.source_fiber(u) for u in gpd.units}
     blocks = {}
     for u, fiber in basis.items():
@@ -423,8 +437,8 @@ def regular_representation(a: AlgebraElement) -> MatrixImage:
             for g, c in a.coeffs.items():
                 if gpd.source[g] != gpd.range[h]:
                     continue
-                gh = gpd.compose[(g, h)]
-                m[idx[gh], idx[h]] += ctx.cocycle(g, h).complex * c
+                gh, sigma = product[g][h]
+                m[idx[gh], idx[h]] += sigma * c
         blocks[u] = m
     image = MatrixImage(basis, blocks)
     a._blocks = image

@@ -52,6 +52,8 @@ class CommutantBasis:
 
 
 def commutant_basis(ctx: TwistedAlgebra) -> CommutantBasis:
+    """Solve for the commutant and cache the cross-checked basis on ctx,
+    where is_masa reads it."""
     gpd = ctx.groupoid
     n = len(gpd.elements)
     # Stack the linear maps a -> [pi(delta_u), pi(a)] over all units; the
@@ -87,6 +89,7 @@ def commutant_basis(ctx: TwistedAlgebra) -> CommutantBasis:
         raise ConsistencyError(
             f"commutant solve ({basis.dimension}) disagrees with isotropy count ({iso_dim})"
         )
+    ctx._commutant = basis
     return basis
 
 
@@ -94,9 +97,10 @@ def is_masa(ctx: TwistedAlgebra) -> bool:
     """True iff the diagonal subalgebra equals its own commutant.
 
     Both the linear-algebra route and the groupoid effectiveness test run
-    and must agree.
+    and must agree.  The commutant is solved once per context.
     """
-    algebraic = commutant_basis(ctx).dimension == len(ctx.groupoid.units)
+    basis = ctx._commutant if ctx._commutant is not None else commutant_basis(ctx)
+    algebraic = basis.dimension == len(ctx.groupoid.units)
     effective = is_effective(ctx.groupoid)
     if algebraic != effective:
         raise ConsistencyError("commutant computation disagrees with effectiveness")

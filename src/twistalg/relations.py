@@ -84,13 +84,18 @@ def general_restriction_le(m: AlgebraElement, n: AlgebraElement) -> bool:
 
 @dataclass(frozen=True)
 class DominationWitness:
-    """Certificate for m <_s n: sm, ms, sn, ns diagonal and nsm = m = msn."""
+    """Certificate for m <_s n: sm, ms, sn, ns diagonal and nsm = m = msn.
+
+    `sn` and `ns` keep the products the diagonality test formed.
+    """
 
     m: AlgebraElement
     s: AlgebraElement
     n: AlgebraElement
     residual: float
     diagonal_ok: bool
+    sn: AlgebraElement
+    ns: AlgebraElement
 
     @property
     def ok(self) -> bool:
@@ -101,12 +106,13 @@ def certify_domination(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement) 
     """Evaluate all five certificate conditions for m <_s n."""
     m._same_context(s)
     m._same_context(n)
-    diag_ok = all(is_diagonal(x) for x in (s * m, m * s, s * n, n * s))
+    sn, ns = s * n, n * s
+    diag_ok = all(is_diagonal(x) for x in (s * m, m * s, sn, ns))
     residual = max(
         max_coeff_diff(n * (s * m), m),
         max_coeff_diff(m * (s * n), m),
     )
-    return DominationWitness(m, s, n, residual, diag_ok)
+    return DominationWitness(m, s, n, residual, diag_ok, sn, ns)
 
 
 def _inverse_on_support(n: AlgebraElement) -> AlgebraElement:
@@ -246,7 +252,7 @@ def verify_ball_certificate(m: AlgebraElement, t: AlgebraElement, n: AlgebraElem
     plus tn and nt positive and of norm at most 1."""
     tol = m.ctx.zero_tol
     w = certify_domination(m, t, n)
-    tn, nt = t * n, n * t
+    tn, nt = w.sn, w.ns
     positive = all(
         all(c.real > -tol and abs(c.imag) < tol for c in x.coeffs.values()) for x in (tn, nt)
     )

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,14 @@ from twistalg import (
     diagonal,
     regular_representation,
 )
-from twistalg.algebra import max_coeff_diff
-from twistalg.groupoid import klein_four
+from twistalg.algebra import (
+    AlgebraElement,
+    convolve,
+    involution,
+    max_coeff_diff,
+    standard_contexts,
+)
+from twistalg.groupoid import cyclic_group, klein_four
 from twistalg.seeds import substream
 from twistalg.semigroups import random_element
 
@@ -271,3 +278,117 @@ def test_one_is_exact_unit(r3, rng):
         a = random_element(r3, rng)
         assert max_coeff_diff(unit * a, a) < 1e-12
         assert max_coeff_diff(a * unit, a) < 1e-12
+
+
+# -- the table-driven kernel against the exact route -----------------------------------
+
+
+def _coboundary(gpd, b):
+    """The cocycle sigma(g, h) = b(g) + b(h) - b(gh) turns; b vanishes on units."""
+    values = {}
+    for (g, h), gh in gpd.compose.items():
+        turns = (b.get(g, 0) + b.get(h, 0) - b.get(gh, 0)) % 1
+        if turns:
+            values[(g, h)] = Phase(turns)
+    return Cocycle(gpd, values)
+
+
+def _z6_coboundary(data):
+    """Z6 twisted by the coboundary of a drawn b with values in 1/8 and 1/100 turns."""
+    z6 = cyclic_group(6, "Z6_cob")
+    b = {}
+    for g in z6.elements:
+        if not z6.is_unit(g):
+            d = data.draw(st.sampled_from((8, 100)))
+            b[g] = Fraction(data.draw(st.integers(0, d - 1)), d)
+    return TwistedAlgebra(z6, _coboundary(z6, b), name="Z6_cob")
+
+
+_COEFF = st.one_of(st.none(), st.complex_numbers(max_magnitude=5, allow_nan=False,
+                                                 allow_infinity=False))
+
+
+def _draw_element(data, ctx):
+    """An element with coefficients in groupoid element order, some absent."""
+    elems = ctx.groupoid.elements
+    coeffs = data.draw(st.lists(_COEFF, min_size=len(elems), max_size=len(elems)))
+    return AlgebraElement(ctx, {g: complex(c) for g, c in zip(elems, coeffs) if c is not None})
+
+
+def _exact_involution(ctx, a):
+    out = {}
+    for g, c in a.coeffs.items():
+        phase, ginv = ctx.delta_star(g)
+        out[ginv] = phase.complex * c.conjugate()
+    return AlgebraElement(ctx, out)
+
+
+def _exact_blocks(ctx, a):
+    gpd = ctx.groupoid
+    blocks = {}
+    for u in gpd.units:
+        fiber = gpd.source_fiber(u)
+        idx = {h: i for i, h in enumerate(fiber)}
+        m = np.zeros((len(fiber), len(fiber)), dtype=complex)
+        for h in fiber:
+            for g, c in a.coeffs.items():
+                if (g, h) in gpd.compose:
+                    m[idx[gpd.compose[(g, h)]], idx[h]] += ctx.cocycle(g, h).complex * c
+        blocks[u] = m
+    return blocks
+
+
+_CONTEXT_NAMES = (*standard_contexts(), "Z6_cob")
+
+
+@given(st.sampled_from(_CONTEXT_NAMES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_is_bit_exact_against_exact_route(contexts, name, data):
+    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
+    gpd = ctx.groupoid
+    assert sum(len(row) for row in ctx._product.values()) == len(gpd.compose)
+    for (h, k), hk in gpd.compose.items():
+        assert ctx._product[h][k] == (hk, ctx.cocycle(h, k).complex)
+    for g in gpd.elements:
+        phase, ginv = ctx.delta_star(g)
+        assert ctx._star[g] == (ginv, phase.complex)
+    a, b = _draw_element(data, ctx), _draw_element(data, ctx)
+    assert max_coeff_diff(convolve(a, b), brute_convolution(ctx, a, b)) == 0
+    assert max_coeff_diff(involution(a), _exact_involution(ctx, a)) == 0
+    image = regular_representation(a)
+    exact = _exact_blocks(ctx, a)
+    assert image.blocks.keys() == exact.keys()
+    for u, m in exact.items():
+        assert np.array_equal(image.blocks[u], m), (name, u)
+
+
+def test_kernel_never_takes_exact_phases(monkeypatch, rng):
+    """The coefficient kernels read only the context tables, never Phase or Cocycle."""
+    z6 = cyclic_group(6, "Z6_cob")
+    b = {g: Fraction(i, 8 if i % 2 else 100) for i, g in enumerate(z6.elements) if i}
+    twisted = TwistedAlgebra(z6, _coboundary(z6, b), name="Z6_cob")
+    ctxs = [*standard_contexts().values(), twisted]
+    pairs = [(random_element(ctx, rng), random_element(ctx, rng)) for ctx in ctxs]
+
+    def refuse(*args):
+        raise AssertionError("exact phase arithmetic in the coefficient kernel")
+
+    monkeypatch.setattr(Phase, "complex", property(refuse))
+    monkeypatch.setattr(Cocycle, "__call__", refuse)
+    for a, b in pairs:
+        convolve(a, b)
+        involution(a)
+        a.support()
+        regular_representation(a)
+
+
+def test_support_order_and_threshold(r3):
+    elems = r3.groupoid.elements
+    reversed_insert = AlgebraElement(r3, {g: 1 + 0j for g in reversed(elems)})
+    assert reversed_insert.support() == elems
+    tol = r3.zero_tol
+    a = AlgebraElement(r3, {elems[2]: complex(tol), elems[1]: 0.5 + 0j, elems[0]: 2 * tol + 0j})
+    assert a.support() == (elems[0], elems[1])
+    assert a.support(tol / 4) == (elems[0], elems[1], elems[2])
+    assert a.support(0.1) == (elems[1],)
+    assert a.support(0.5) == ()

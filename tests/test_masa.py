@@ -5,8 +5,11 @@ from twistalg import (
     commutant_basis,
     is_effective,
     is_masa,
+    masa,
     masa_implies_normalisers,
     normalisers_imply_masa_contrapositive,
+    standard_contexts,
+    suites,
 )
 from twistalg.algebra import diagonal, is_diagonal, max_coeff_diff
 from twistalg.errors import InputError
@@ -126,3 +129,21 @@ def test_summable_normalizers(contexts):
     for name in ("R2", "Z4", "V4_pauli"):
         rep = summable_normalizers_report(contexts[name], substream(13, "sum", name))
         assert rep["passed"], (name, rep)
+
+
+def test_commutant_is_solved_once_per_context(monkeypatch):
+    """masa_suite's own solve serves the is_masa inside all three theorem checks."""
+    ctx = standard_contexts()["Z4"]
+    solved = []
+    solve = masa.commutant_basis
+
+    def counting(c):
+        solved.append(c)
+        return solve(c)
+
+    monkeypatch.setattr(masa, "commutant_basis", counting)
+    monkeypatch.setattr(suites, "commutant_basis", counting)
+    report = suites.masa_suite(ctx)
+    assert report["passed"] and report["commutant_dimension"] == 4
+    assert is_masa(ctx) is False
+    assert solved == [ctx]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalg import (
+    algebra,
     ball_witness,
     certify_domination,
     dominated_approximation,
@@ -171,6 +172,25 @@ def test_ball_witness_random_certificates(r3, rng):
         checks = verify_ball_certificate(m, t, n)
         assert checks["ok"], checks
         count += 1
+
+
+def test_ball_certificate_reuses_the_domination_products(r2, monkeypatch):
+    """verify_ball_certificate forms no product beyond those of certify_domination."""
+    m = r2.delta("(1,1)")
+    n = r2.delta("(1,1)") + 2 * r2.delta("(2,2)")
+    t = ball_witness(m, n)
+    counts = []
+    convolve = algebra.convolve
+
+    def counting(a, b):
+        counts[-1] += 1
+        return convolve(a, b)
+
+    monkeypatch.setattr(algebra, "convolve", counting)
+    for check in (certify_domination, verify_ball_certificate):
+        counts.append(0)
+        check(m, t, n)
+    assert counts[0] == counts[1] > 0
 
 
 def test_ball_witness_requires_domination(r2):
