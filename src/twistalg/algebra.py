@@ -198,8 +198,10 @@ class TwistedAlgebra:
         for g in groupoid.elements:
             phase, ginv = self.delta_star(g)
             self._star[g] = (ginv, phase.complex)
-        # The commutant basis, solved once by masa.commutant_basis.
+        # The commutant basis, solved once by masa.commutant_basis, and the
+        # (g, delta_g^*, source point) triples, built once by reconstruction.hat.
         self._commutant = None
+        self._hat_frame = None
 
     def __repr__(self) -> str:
         twisted = "twisted" if self.cocycle.values else "untwisted"
@@ -358,6 +360,27 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.ctx, out)
 
 
+def product_coeff(a: AlgebraElement, b: AlgebraElement, g: str) -> complex:
+    """(a * b)(g) alone: the terms of convolve(a, b) that land on g, summed in
+    the same order, so the value equals convolve(a, b).coeff(g) bit for bit."""
+    a._same_context(b)
+    product, star = a.ctx._product, a.ctx._star
+    acc = 0j
+    for h, ah in a.coeffs.items():
+        if ah == 0:
+            continue
+        # The one k with hk = g is h^-1 g, when that product is defined.
+        entry = product[star[h][0]].get(g)
+        if entry is None:
+            continue
+        k = entry[0]
+        bk = b.coeffs.get(k, 0j)
+        if bk == 0:
+            continue
+        acc = acc + product[h][k][1] * ah * bk
+    return acc
+
+
 def involution(a: AlgebraElement) -> AlgebraElement:
     """a*(g) = conj(sigma(g, g^-1)) conj(a(g^-1)); involutive, (ab)* = b*a*."""
     star = a.ctx._star
@@ -375,7 +398,9 @@ def diagonal(a: AlgebraElement) -> AlgebraElement:
 
 
 def is_diagonal(a: AlgebraElement) -> bool:
-    return all(a.ctx.groupoid.is_unit(g) for g in a.support())
+    """True iff every coefficient above the zero tolerance sits on a unit."""
+    gpd, tol = a.ctx.groupoid, a.ctx.zero_tol
+    return all(gpd.is_unit(g) for g, c in a.coeffs.items() if abs(c) > tol)
 
 
 def is_monomial(a: AlgebraElement) -> bool:

@@ -26,6 +26,7 @@ from .algebra import (
     diagonal_function,
     is_diagonal,
     max_coeff_diff,
+    product_coeff,
 )
 from .errors import ConsistencyError, InputError, NotCartanError
 from .groupoid import FiniteGroupoid, groupoids_isomorphic, subset_product, validate_groupoid
@@ -250,13 +251,18 @@ def hat(a: AlgebraElement) -> AlgebraElement:
 
     hat(a)(g) = psi_{U_g}(E(delta_g^* a)), materialized as an algebra
     element; under the point identification this must reproduce a itself.
+    E keeps the unit coefficients and psi_{U_g} evaluates at the source
+    point s_g of U_g, a unit, so the value is the one coefficient
+    (delta_g^* a)(s_g), read without forming the product.
     """
     ctx = a.ctx
+    if ctx._hat_frame is None:
+        # (g, delta_g^*, s_g) for every g, once per context.
+        ctx._hat_frame = tuple((g, ctx.delta(g).star(), ultrafilter_at(ctx, g).source_point())
+                               for g in ctx.groupoid.elements)
     out = {}
-    for g in ctx.groupoid.elements:
-        u = ultrafilter_at(ctx, g)
-        d = ctx.delta(g)
-        val = source_state(u, diagonal(d.star() * a))
+    for g, dstar, s_g in ctx._hat_frame:
+        val = product_coeff(dstar, a, s_g)
         if val != 0:
             out[g] = val
     return AlgebraElement(ctx, out)

@@ -106,11 +106,11 @@ def certify_domination(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement) 
     """Evaluate all five certificate conditions for m <_s n."""
     m._same_context(s)
     m._same_context(n)
-    sn, ns = s * n, n * s
-    diag_ok = all(is_diagonal(x) for x in (s * m, m * s, sn, ns))
+    sm, sn, ns = s * m, s * n, n * s
+    diag_ok = all(is_diagonal(x) for x in (sm, m * s, sn, ns))
     residual = max(
-        max_coeff_diff(n * (s * m), m),
-        max_coeff_diff(m * (s * n), m),
+        max_coeff_diff(n * sm, m),
+        max_coeff_diff(m * sn, m),
     )
     return DominationWitness(m, s, n, residual, diag_ok, sn, ns)
 
@@ -123,7 +123,8 @@ def _inverse_on_support(n: AlgebraElement) -> AlgebraElement:
     """
     ctx = n.ctx
     cut = ctx.zero_tol ** 2
-    return diagonal_function(n.star() * n, lambda x: 1.0 / x if x > cut else 0.0) * n.star()
+    nstar = n.star()
+    return diagonal_function(nstar * n, lambda x: 1.0 / x if x > cut else 0.0) * nstar
 
 
 def dominates(m: AlgebraElement, n: AlgebraElement) -> DominationWitness | None:

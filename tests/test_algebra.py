@@ -20,10 +20,13 @@ from twistalg.algebra import (
     AlgebraElement,
     convolve,
     involution,
+    is_diagonal,
     max_coeff_diff,
+    product_coeff,
     standard_contexts,
 )
 from twistalg.groupoid import cyclic_group, klein_four
+from twistalg.reconstruction import hat, source_state, ultrafilter_at
 from twistalg.seeds import substream
 from twistalg.semigroups import random_element
 
@@ -308,10 +311,14 @@ _COEFF = st.one_of(st.none(), st.complex_numbers(max_magnitude=5, allow_nan=Fals
                                                  allow_infinity=False))
 
 
-def _draw_element(data, ctx):
+# Exact zeros as well, which the kernels skip.
+_COEFF_OR_ZERO = st.one_of(st.just(0j), _COEFF)
+
+
+def _draw_element(data, ctx, coeff=_COEFF):
     """An element with coefficients in groupoid element order, some absent."""
     elems = ctx.groupoid.elements
-    coeffs = data.draw(st.lists(_COEFF, min_size=len(elems), max_size=len(elems)))
+    coeffs = data.draw(st.lists(coeff, min_size=len(elems), max_size=len(elems)))
     return AlgebraElement(ctx, {g: complex(c) for g, c in zip(elems, coeffs) if c is not None})
 
 
@@ -362,6 +369,47 @@ def test_kernel_is_bit_exact_against_exact_route(contexts, name, data):
         assert np.array_equal(image.blocks[u], m), (name, u)
 
 
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@given(st.sampled_from(_CONTEXT_NAMES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_product_coeff_is_bit_exact_against_convolve(contexts, name, data):
+    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
+    a = _draw_element(data, ctx, _COEFF_OR_ZERO)
+    b = _draw_element(data, ctx, _COEFF_OR_ZERO)
+    full = convolve(a, b)
+    for g in ctx.groupoid.elements:
+        single = product_coeff(a, b, g)
+        assert single - full.coeff(g) == 0
+        assert _bits(single) == _bits(full.coeff(g)), (name, g)
+
+
+@given(st.sampled_from(_CONTEXT_NAMES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_hat_is_bit_exact_against_the_state_route(contexts, name, data):
+    """hat(a)(g) is psi_{U_g}(E(delta_g^* a)) formed in full, bit for bit."""
+    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
+    a = _draw_element(data, ctx, _COEFF_OR_ZERO)
+    image = hat(a)
+    for g in ctx.groupoid.elements:
+        old = source_state(ultrafilter_at(ctx, g), diagonal(ctx.delta(g).star() * a))
+        assert (g in image.coeffs) == (old != 0)
+        assert _bits(image.coeff(g)) == _bits(old), (name, g)
+
+
+@given(st.sampled_from(_CONTEXT_NAMES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_diagonal_agrees_with_the_support(contexts, name, data):
+    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
+    tol = ctx.zero_tol
+    at_tolerance = st.sampled_from((complex(tol), complex(-tol), complex(0, tol),
+                                    complex(tol * 1.5), complex(tol / 2, tol / 2)))
+    a = _draw_element(data, ctx, st.one_of(at_tolerance, _COEFF_OR_ZERO))
+    assert is_diagonal(a) == all(ctx.groupoid.is_unit(g) for g in a.support())
+
+
 def test_kernel_never_takes_exact_phases(monkeypatch, rng):
     """The coefficient kernels read only the context tables, never Phase or Cocycle."""
     z6 = cyclic_group(6, "Z6_cob")
@@ -377,6 +425,7 @@ def test_kernel_never_takes_exact_phases(monkeypatch, rng):
     monkeypatch.setattr(Cocycle, "__call__", refuse)
     for a, b in pairs:
         convolve(a, b)
+        product_coeff(a, b, a.ctx.groupoid.elements[-1])
         involution(a)
         a.support()
         regular_representation(a)

@@ -185,6 +185,29 @@ def test_hat_examples(r2, r3, rng):
         assert max_coeff_diff(hat(a), a) < 1e-9
 
 
+def test_second_hat_forms_no_product(monkeypatch, rng):
+    """hat builds its delta_g^* and source points once per context, then reads
+    one coefficient per point without convolving or taking stars."""
+    from twistalg import algebra
+
+    ctx = TwistedAlgebra(full_relation(3), name="R3")
+    a = random_element(ctx, rng)
+    counts = {"convolve": 0, "involution": 0}
+    for name in counts:
+        original = getattr(algebra, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(algebra, name, counting)
+    first = hat(a)
+    assert counts["convolve"] > 0 and counts["involution"] > 0
+    counts.update(convolve=0, involution=0)
+    assert hat(a).coeffs == first.coeffs
+    assert counts == {"convolve": 0, "involution": 0}
+
+
 def test_rebuild_groupoid_fresh_labels(r2):
     rebuilt, label = rebuild_groupoid(r2, SemigroupSpec.monomial(r2))
     assert set(rebuilt.elements) == {f"p{i}" for i in range(4)}

@@ -193,6 +193,34 @@ def test_ball_certificate_reuses_the_domination_products(r2, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_domination_certificate_forms_each_product_once(r3, rng, monkeypatch):
+    """Six convolutions per certificate, and the residual of the products
+    formed afresh."""
+    counts = []
+    convolve = algebra.convolve
+
+    def counting(a, b):
+        counts[-1] += 1
+        return convolve(a, b)
+
+    checked = 0
+    for i in range(40):
+        n = random_monomial(r3, rng)
+        m = r3.element({g: n.coeff(g) for g in n.support()[:1]}) if i % 2 else \
+            random_monomial(r3, rng)
+        w = dominates(m, n)
+        s = w.s if w is not None else random_monomial(r3, rng)
+        fresh = max(max_coeff_diff(n * (s * m), m), max_coeff_diff(m * (s * n), m))
+        monkeypatch.setattr(algebra, "convolve", counting)
+        counts.append(0)
+        cert = certify_domination(m, s, n)
+        monkeypatch.setattr(algebra, "convolve", convolve)
+        assert counts[-1] <= 6
+        assert cert.residual == fresh
+        checked += w is not None
+    assert checked > 0
+
+
 def test_ball_witness_requires_domination(r2):
     with pytest.raises(InputError):
         ball_witness(r2.delta("(1,2)"), r2.delta("(2,1)"))
