@@ -381,9 +381,7 @@ def test_product_coeff_is_bit_exact_against_convolve(contexts, name, data):
     b = _draw_element(data, ctx, _COEFF_OR_ZERO)
     full = convolve(a, b)
     for g in ctx.groupoid.elements:
-        single = product_coeff(a, b, g)
-        assert single - full.coeff(g) == 0
-        assert _bits(single) == _bits(full.coeff(g)), (name, g)
+        assert _bits(product_coeff(a, b, g)) == _bits(full.coeff(g)), (name, g)
 
 
 @given(st.sampled_from(_CONTEXT_NAMES), st.data())

@@ -206,8 +206,10 @@ def test_domination_certificate_forms_each_product_once(r3, rng, monkeypatch):
     checked = 0
     for i in range(40):
         n = random_monomial(r3, rng)
-        m = r3.element({g: n.coeff(g) for g in n.support()[:1]}) if i % 2 else \
-            random_monomial(r3, rng)
+        if i % 2:
+            m = r3.element({g: n.coeff(g) for g in n.support()[:1]})
+        else:
+            m = random_monomial(r3, rng)
         w = dominates(m, n)
         s = w.s if w is not None else random_monomial(r3, rng)
         fresh = max(max_coeff_diff(n * (s * m), m), max_coeff_diff(m * (s * n), m))
