@@ -199,9 +199,10 @@ class TwistedAlgebra:
             phase, ginv = self.delta_star(g)
             self._star[g] = (ginv, phase.complex)
         # The commutant basis, solved once by masa.commutant_basis, and the
-        # (g, delta_g^*, source point) triples, built once by reconstruction.hat.
+        # g -> (delta_g^*, source point, range point) frame, built once by
+        # reconstruction._point_frame.
         self._commutant = None
-        self._hat_frame = None
+        self._frame = None
 
     def __repr__(self) -> str:
         twisted = "twisted" if self.cocycle.values else "untwisted"
@@ -281,7 +282,8 @@ class AlgebraElement:
                             key=self.ctx.groupoid.index))
 
     def is_zero(self, tol: float | None = None) -> bool:
-        return not self.support(tol)
+        t = self.ctx.zero_tol if tol is None else tol
+        return not any(abs(c) > t for c in self.coeffs.values())
 
     def sup_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -327,10 +329,6 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         return involution(self)
-
-    def approx_eq(self, other: "AlgebraElement") -> bool:
-        self._same_context(other)
-        return max_coeff_diff(self, other) <= self.ctx.zero_tol
 
 
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:

@@ -69,17 +69,11 @@ class FiniteGroupoid:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g) -> bool:
-        return g in self._index
-
     def index(self, g: str) -> int:
         return self._index[g]
 
     def is_unit(self, g: str) -> bool:
         return g in self._unit_set
-
-    def composable(self, g: str, h: str) -> bool:
-        return self.source[g] == self.range[h]
 
     def product(self, g: str, h: str) -> str | None:
         return self.compose.get((g, h))

@@ -64,23 +64,35 @@ class Ultrafilter:
         return Ultrafilter(self.ctx, ginv)
 
     def source_point(self) -> str:
-        d = self.ctx.delta(self.g)
-        supp = (d.star() * d).support()
-        if len(supp) != 1:
-            raise ConsistencyError(f"source of {self.g!r} is not a single point")
-        return supp[0]
+        return _point_frame(self.ctx)[self.g][1]
 
     def range_point(self) -> str:
-        d = self.ctx.delta(self.g)
-        supp = (d * d.star()).support()
-        if len(supp) != 1:
-            raise ConsistencyError(f"range of {self.g!r} is not a single point")
-        return supp[0]
+        return _point_frame(self.ctx)[self.g][2]
 
     def meets_diagonal(self) -> bool:
         """U intersects B, i.e. some positive square m*m lies in U."""
         m = self.ctx.delta(self.g)
         return self.contains(m.star() * m) or self.contains(m * m.star())
+
+
+def _point_frame(ctx: TwistedAlgebra) -> dict[str, tuple[AlgebraElement, str, str]]:
+    """g -> (delta_g^*, source point, range point), built once per context.
+
+    The source and range points of U_g are the single points of the supports
+    of delta_g^* delta_g and delta_g delta_g^*.
+    """
+    if ctx._frame is None:
+        frame = {}
+        for g in ctx.groupoid.elements:
+            d = ctx.delta(g)
+            dstar = d.star()
+            supports = (dstar * d).support(), (d * dstar).support()
+            for side, supp in zip(("source", "range"), supports):
+                if len(supp) != 1:
+                    raise ConsistencyError(f"{side} of {g!r} is not a single point")
+            frame[g] = (dstar, supports[0][0], supports[1][0])
+        ctx._frame = frame
+    return ctx._frame
 
 
 def ultrafilter_at(ctx: TwistedAlgebra, g: str) -> Ultrafilter:
@@ -112,10 +124,10 @@ def check_filter_axioms(u: Ultrafilter, sample) -> dict:
     members = [m for m in sample if u.contains(m)]
     down_witness = None
     for m in members:
-        # The same lower bound l <= m serves every n.
+        # The same lower bound l serves every n, and n = m checks l <= m.
         l = ctx.delta(u.g, m.coeff(u.g))
-        l_below_m = u.contains(l) and dominates(l, m)
-        n = next((n for n in members if not (l_below_m and dominates(l, n))), None)
+        l_in_u = u.contains(l)
+        n = next((n for n in members if not (l_in_u and dominates(l, n))), None)
         if n is not None:
             down_witness = (repr(m), repr(n))
             break
@@ -255,17 +267,12 @@ def hat(a: AlgebraElement) -> AlgebraElement:
     point s_g of U_g, a unit, so the value is the one coefficient
     (delta_g^* a)(s_g), read without forming the product.
     """
-    ctx = a.ctx
-    if ctx._hat_frame is None:
-        # (g, delta_g^*, s_g) for every g, once per context.
-        ctx._hat_frame = tuple((g, ctx.delta(g).star(), ultrafilter_at(ctx, g).source_point())
-                               for g in ctx.groupoid.elements)
     out = {}
-    for g, dstar, s_g in ctx._hat_frame:
+    for g, (dstar, s_g, _) in _point_frame(a.ctx).items():
         val = product_coeff(dstar, a, s_g)
         if val != 0:
             out[g] = val
-    return AlgebraElement(ctx, out)
+    return AlgebraElement(a.ctx, out)
 
 
 # -- theorem suites ----------------------------------------------------------------

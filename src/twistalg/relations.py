@@ -122,7 +122,7 @@ def _inverse_on_support(n: AlgebraElement) -> AlgebraElement:
     of the coefficients that count as support (|n(g)| > zero_tol).
     """
     ctx = n.ctx
-    cut = ctx.zero_tol ** 2
+    cut = ctx.zero_tol * ctx.zero_tol
     nstar = n.star()
     return diagonal_function(nstar * n, lambda x: 1.0 / x if x > cut else 0.0) * nstar
 
@@ -158,12 +158,14 @@ def interpolate(m: AlgebraElement, n: AlgebraElement, w: DominationWitness) -> A
     l = n g(sn) where g is 1 above the zero tolerance and 0 at 0; both
     output certificates are re-checked before returning.
     """
-    if not (w.m is m and w.n is n) and not (w.m.approx_eq(m) and w.n.approx_eq(n)):
+    m._same_context(w.m)
+    ctx = m.ctx
+    tol = ctx.zero_tol
+    if not (w.m is m and w.n is n) and not (max_coeff_diff(w.m, m) <= tol
+                                            and max_coeff_diff(w.n, n) <= tol):
         raise InputError("witness does not match the given pair")
     if not w.ok:
         raise InputError("invalid domination witness")
-    ctx = m.ctx
-    tol = ctx.zero_tol
     sn = w.s * n
     g_of_sn = diagonal_function(sn, lambda x: 1.0 if x > tol else 0.0)
     l = n * g_of_sn

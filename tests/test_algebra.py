@@ -214,7 +214,7 @@ def test_exact_star_identity_on_basis(contexts):
 def test_exact_associativity_on_basis(v4_pauli):
     gpd = v4_pauli.groupoid
     for g, h, k in itertools.product(gpd.elements, repeat=3):
-        if not (gpd.composable(g, h) and gpd.composable(h, k)):
+        if (g, h) not in gpd.compose or (h, k) not in gpd.compose:
             continue
         p1, gh = v4_pauli.delta_product(g, h)
         p2, ghk = v4_pauli.delta_product(gh, k)
@@ -406,6 +406,21 @@ def test_is_diagonal_agrees_with_the_support(contexts, name, data):
                                     complex(tol * 1.5), complex(tol / 2, tol / 2)))
     a = _draw_element(data, ctx, st.one_of(at_tolerance, _COEFF_OR_ZERO))
     assert is_diagonal(a) == all(ctx.groupoid.is_unit(g) for g in a.support())
+
+
+@given(st.sampled_from(_CONTEXT_NAMES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_zero_agrees_with_the_support(contexts, name, data):
+    """An explicit tol overrides zero_tol, and |c| == tol counts as zero."""
+    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
+    tol = data.draw(st.sampled_from((None, ctx.zero_tol, 1e-3, 0.5)))
+    t = ctx.zero_tol if tol is None else tol
+    near = st.sampled_from((complex(t), complex(-t), complex(0, t), complex(t * 1.5),
+                            complex(t / 2, t / 2), complex(np.nextafter(t, 1.0))))
+    coeff = data.draw(st.sampled_from((st.one_of(near, st.just(0j), st.none()),
+                                       st.one_of(near, _COEFF_OR_ZERO))))
+    a = _draw_element(data, ctx, coeff)
+    assert a.is_zero(tol) == (not a.support(tol))
 
 
 def test_kernel_never_takes_exact_phases(monkeypatch, rng):

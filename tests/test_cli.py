@@ -441,3 +441,19 @@ def test_consistency_errors_exit_4(case, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "consistency" and error["message"]
     assert "np." not in error["message"]
+
+
+# A tolerance whose square overflows a float power still gives a report.
+HUGE_TOLERANCE_RUNS = {
+    "reconstruct": ["reconstruct", FIXDIR / "z4.json"],
+    "suite-relations": ["suite", FIXDIR / "z4.json", "--suite", "relations"],
+    "suite-all": ["suite", FIXDIR / "z4.json", "--suite", "all"],
+}
+
+
+@pytest.mark.parametrize("tol", ["1e200", "1e300"])
+@pytest.mark.parametrize("case", sorted(HUGE_TOLERANCE_RUNS))
+def test_huge_tolerance_ends_in_a_report(case, tol, capsys):
+    capsys.readouterr()
+    assert run(*HUGE_TOLERANCE_RUNS[case], "--tol", tol) in (0, 1, 2, 3, 4)
+    assert json.loads(capsys.readouterr().out)["config"]["tolerance"] == float(tol)

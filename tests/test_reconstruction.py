@@ -29,7 +29,7 @@ from twistalg.reconstruction import (
     unit_space_report,
 )
 from twistalg.seeds import substream
-from twistalg.semigroups import BisectionBasis, random_element, random_monomial
+from twistalg.semigroups import BisectionBasis, membership, random_element, random_monomial
 from twistalg.suites import _random_restriction
 
 
@@ -186,12 +186,13 @@ def test_hat_examples(r2, r3, rng):
 
 
 def test_second_hat_forms_no_product(monkeypatch, rng):
-    """hat builds its delta_g^* and source points once per context, then reads
-    one coefficient per point without convolving or taking stars."""
+    """The point frame (delta_g^*, source and range point per g) is built once
+    per context, by the first hat or source_state.  After it, finding a point
+    or a hat value forms no convolution and takes no star, and rebuild_groupoid
+    forms only its membership and unit probes and the delta products of its
+    composition table."""
     from twistalg import algebra
 
-    ctx = TwistedAlgebra(full_relation(3), name="R3")
-    a = random_element(ctx, rng)
     counts = {"convolve": 0, "involution": 0}
     for name in counts:
         original = getattr(algebra, name)
@@ -201,11 +202,35 @@ def test_second_hat_forms_no_product(monkeypatch, rng):
             return original(*args)
 
         monkeypatch.setattr(algebra, name, counting)
-    first = hat(a)
-    assert counts["convolve"] > 0 and counts["involution"] > 0
-    counts.update(convolve=0, involution=0)
-    assert hat(a).coeffs == first.coeffs
-    assert counts == {"convolve": 0, "involution": 0}
+    for first_call in ("hat", "source_state"):
+        ctx = TwistedAlgebra(full_relation(3), name="R3")
+        elems = ctx.groupoid.elements
+        a = random_element(ctx, rng)
+        if first_call == "hat":
+            first = hat(a).coeffs
+        else:
+            source_state(ultrafilter_at(ctx, elems[1]), ctx.delta(elems[0]))
+            first = None
+        assert counts["convolve"] > 0 and counts["involution"] > 0
+        counts.update(convolve=0, involution=0)
+        again = hat(a)
+        assert first is None or again.coeffs == first
+        assert max_coeff_diff(again, a) == 0
+        for g in elems:
+            u = ultrafilter_at(ctx, g)
+            assert (u.source_point(), u.range_point()) == (ctx.groupoid.source[g],
+                                                           ctx.groupoid.range[g])
+        assert counts == {"convolve": 0, "involution": 0}
+        spec = SemigroupSpec.monomial(ctx)
+        for g in elems:
+            membership(spec, ctx.delta(g))
+            ultrafilter_at(ctx, g).meets_diagonal()
+        probes = dict(counts)
+        counts.update(convolve=0, involution=0)
+        rebuild_groupoid(ctx, spec)
+        assert counts == {"convolve": probes["convolve"] + len(elems) ** 2,
+                          "involution": probes["involution"]}
+        counts.update(convolve=0, involution=0)
 
 
 def test_rebuild_groupoid_fresh_labels(r2):

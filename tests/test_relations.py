@@ -13,7 +13,7 @@ from twistalg import (
     restriction_le,
     standard_contexts,
 )
-from twistalg.algebra import cstar_norm, diagonal, max_coeff_diff
+from twistalg.algebra import TwistedAlgebra, cstar_norm, diagonal, max_coeff_diff
 from twistalg.errors import InputError
 from twistalg.relations import general_restriction_le, verify_ball_certificate
 from twistalg.semigroups import random_monomial
@@ -110,6 +110,15 @@ def test_interpolate_kills_untouched_fiber(r2):
     assert w.ok
     l = interpolate(m, n, w)
     assert set(l.support()) == {"(1,1)"}
+
+
+def test_interpolate_refuses_a_foreign_witness(r2):
+    m, n = r2.delta("(1,1)"), r2.one()
+    other = TwistedAlgebra(r2.groupoid, name="R2_copy")
+    with pytest.raises(InputError):
+        interpolate(m, n, dominates(other.delta("(1,1)"), other.one()))
+    with pytest.raises(InputError):
+        interpolate(m, n, dominates(r2.delta("(2,2)"), n))
 
 
 def test_interpolation_chain_certified(r3, rng):
@@ -308,3 +317,22 @@ def test_restriction_vs_domination_property(values, keep_second, rescale):
     assert dominates(m, n) is not None
     # the doubled coefficient moves m off n (magnitudes start at 0.01 >> tol)
     assert restriction_le(m, n) == (not rescale)
+
+
+def test_relations_suite_certifies_each_ball_witness_once(monkeypatch, r2):
+    """ball_witness runs verify_ball_certificate itself; the suite does not run it again."""
+    from twistalg import relations, suites
+
+    counts = {"ball_witness": 0, "verify_ball_certificate": 0}
+    for name in counts:
+        original = getattr(relations, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in (relations, suites):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    assert relations_suite(r2, pairs=10, cases=20)["passed"]
+    assert counts["ball_witness"] > 0
+    assert counts["verify_ball_certificate"] == counts["ball_witness"]
