@@ -17,6 +17,7 @@ cocycle and in (phase, element) pairs.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,9 +94,8 @@ PHASE_ONE = Phase(Fraction(0))
 class Cocycle:
     """A normalized T-valued 2-cocycle on the composable pairs of a groupoid.
 
-    Stored sparsely: absent pairs have phase 1.  Validation is exact
-    (Fraction arithmetic) and violations are reported, never normalized
-    away.
+    Stored sparsely: absent pairs have phase 1.  Validation is exact (whole
+    numbers of 1/grid turns) and violations are reported, never normalized away.
     """
 
     def __init__(self, groupoid: FiniteGroupoid, values: dict | None = None):
@@ -113,25 +113,43 @@ class Cocycle:
     def trivial(groupoid: FiniteGroupoid) -> "Cocycle":
         return Cocycle(groupoid, {})
 
+    @property
+    def grid(self) -> int:
+        """The lcm L of the phases' denominators (1 if trivial): each phase is k/L turns."""
+        return math.lcm(*(p.turns.denominator for p in self.values.values()))
+
     def __call__(self, g: str, h: str) -> Phase:
         if (g, h) not in self.groupoid.compose:
             raise InputError(f"cocycle queried on non-composable pair ({g!r}, {h!r})")
         return self.values.get((g, h), PHASE_ONE)
 
     def violations(self) -> list[dict]:
-        """Exact check of normalization and the 2-cocycle identity."""
+        """Exact check of normalization and the 2-cocycle identity in whole numbers
+        of 1/grid turns, over the composable triples only (c in the range fiber of
+        s(b)).  A pair missing from the table raises as a query on it does."""
         g = self.groupoid
+        grid = self.grid
+        turns = dict.fromkeys(g.compose, 0)
+        turns.update((pair, p.turns.numerator * (grid // p.turns.denominator))
+                     for pair, p in self.values.items())
+
+        def t(x: str, y: str) -> int:
+            return turns[(x, y)] if (x, y) in turns else self(x, y)  # self(x, y) raises
+
         out = []
         for e in g.elements:
-            if self(g.range[e], e).turns != 0 or self(e, g.source[e]).turns != 0:
+            if t(g.range[e], e) != 0 or t(e, g.source[e]) != 0:
                 out.append({"axiom": "cocycle-normalized", "witness": [e]})
-        for a, b in g.compose:
-            for c in g.elements:
-                if g.source[b] != g.range[c]:
-                    continue
-                lhs = self(a, b).turns + self(g.compose[(a, b)], c).turns
-                rhs = self(b, c).turns + self(a, g.compose[(b, c)]).turns
-                if (lhs - rhs) % 1 != 0:
+        fibers = g.range_fibers()
+        for (a, b), ab in g.compose.items():
+            t_ab = turns[(a, b)]
+            for c in fibers.get(g.source[b], ()):
+                try:
+                    defect = t_ab + turns[(ab, c)] - turns[(b, c)] - turns[(a, g.compose[(b, c)])]
+                except KeyError:  # replay the queries in order: the first missing pair raises
+                    t(ab, c), t(b, c), t(a, g.compose[(b, c)])
+                    raise
+                if defect % grid != 0:
                     out.append({"axiom": "cocycle-identity", "witness": [a, b, c]})
         return out
 

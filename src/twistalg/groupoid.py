@@ -81,8 +81,12 @@ class FiniteGroupoid:
     def source_fiber(self, u: str) -> tuple[str, ...]:
         return tuple(g for g in self.elements if self.source[g] == u)
 
-    def range_fiber(self, u: str) -> tuple[str, ...]:
-        return tuple(g for g in self.elements if self.range[g] == u)
+    def range_fibers(self) -> dict[str, list[str]]:
+        """Range point -> the elements with that range, in element order."""
+        out: dict[str, list[str]] = {}
+        for g in self.elements:
+            out.setdefault(self.range[g], []).append(g)
+        return out
 
     def isotropy(self, u: str) -> tuple[str, ...]:
         return tuple(g for g in self.elements if self.source[g] == u and self.range[g] == u)
@@ -205,10 +209,13 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             out.append(Violation("inverse-law", (a,), "g*inverse(g) != range(g)"))
         if g.compose.get((a, g.source[a])) != a or g.compose.get((g.range[a], a)) != a:
             out.append(Violation("unit-law", (a,), "units do not act as identities"))
-    for a, b, c in itertools.product(g.elements, repeat=3):
-        if g.source[a] == g.range[b] and g.source[b] == g.range[c]:
-            if g.compose[(g.compose[(a, b)], c)] != g.compose[(a, g.compose[(b, c)])]:
-                out.append(Violation("associativity", (a, b, c), "(ab)c != a(bc)"))
+    fibers = g.range_fibers()  # the composable triples, in element order
+    for a in g.elements:
+        for b in fibers.get(g.source[a], ()):
+            ab = g.compose[(a, b)]
+            for c in fibers.get(g.source[b], ()):
+                if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
+                    out.append(Violation("associativity", (a, b, c), "(ab)c != a(bc)"))
     return ValidationReport(tuple(out))
 
 
@@ -408,7 +415,7 @@ def _unit_signature(g: FiniteGroupoid, u: str) -> tuple:
     iso = g.isotropy(u)
     return (
         len(g.source_fiber(u)),
-        len(g.range_fiber(u)),
+        len(g.range_fibers().get(u, ())),
         tuple(sorted(g.isotropy_order(e) for e in iso)),
     )
 

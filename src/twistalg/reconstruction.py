@@ -11,7 +11,6 @@ and cross-checked against direct oracles where one exists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,9 +69,10 @@ class Ultrafilter:
         return _point_frame(self.ctx)[self.g][2]
 
     def meets_diagonal(self) -> bool:
-        """U intersects B, i.e. some positive square m*m lies in U."""
-        m = self.ctx.delta(self.g)
-        return self.contains(m.star() * m) or self.contains(m * m.star())
+        """U intersects B, i.e. some positive square m*m lies in U: g is its own
+        source or range point, the point of delta_g^* delta_g or delta_g delta_g^*."""
+        _, s_g, r_g = _point_frame(self.ctx)[self.g]
+        return self.g in (s_g, r_g)
 
 
 def _point_frame(ctx: TwistedAlgebra) -> dict[str, tuple[AlgebraElement, str, str]]:
@@ -243,7 +243,7 @@ def recover_cocycle(ctx: TwistedAlgebra) -> tuple[Cocycle, float]:
     cocycle uses; an L above MAX_SNAP_DENOMINATOR raises InputError.
     """
     gpd = ctx.groupoid
-    grid = math.lcm(*(p.turns.denominator for p in ctx.cocycle.values.values()))
+    grid = ctx.cocycle.grid
     values: dict[tuple[str, str], Phase] = {}
     residual = 0.0
     for (g, h), gh in gpd.compose.items():

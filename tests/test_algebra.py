@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,14 @@ from twistalg.algebra import (
     product_coeff,
     standard_contexts,
 )
-from twistalg.groupoid import cyclic_group, klein_four
+from twistalg.groupoid import (
+    FiniteGroupoid,
+    cyclic_group,
+    disjoint_union,
+    full_relation,
+    klein_four,
+    standard_fixtures,
+)
 from twistalg.reconstruction import hat, source_state, ultrafilter_at
 from twistalg.seeds import substream
 from twistalg.semigroups import random_element
@@ -263,6 +271,87 @@ def test_cocycle_violations_rejected():
     assert bad.violations()
     with pytest.raises(InputError):
         TwistedAlgebra(g4, bad)
+
+
+def _fraction_violations(cocycle):
+    """Fraction arithmetic over every candidate c: the check Cocycle.violations
+    replaced, kept as its oracle."""
+    self = cocycle
+    g = self.groupoid
+    out = []
+    for e in g.elements:
+        if self(g.range[e], e).turns != 0 or self(e, g.source[e]).turns != 0:
+            out.append({"axiom": "cocycle-normalized", "witness": [e]})
+    for a, b in g.compose:
+        for c in g.elements:
+            if g.source[b] != g.range[c]:
+                continue
+            lhs = self(a, b).turns + self(g.compose[(a, b)], c).turns
+            rhs = self(b, c).turns + self(a, g.compose[(b, c)]).turns
+            if (lhs - rhs) % 1 != 0:
+                out.append({"axiom": "cocycle-identity", "witness": [a, b, c]})
+    return out
+
+
+def _outcome(check, cocycle):
+    try:
+        return check(cocycle)
+    except Exception as exc:  # the oracle and the check must fail alike
+        return type(exc), str(exc)
+
+
+_ORACLE_GROUPOIDS = (*standard_fixtures().values(), full_relation(3, "R3"), cyclic_group(6, "Z6"),
+                     disjoint_union(full_relation(3), cyclic_group(3), "R3_disj_Z3"))
+# Small denominators, the snap limit, and large pairwise coprime primes whose lcm
+# runs far past it.
+_DENOMINATORS = (*range(2, 13), 10**12, 1_000_003, 998_244_353, 2_147_483_647, 10**9 + 7)
+
+
+@given(st.sampled_from(_ORACLE_GROUPOIDS), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_violations_match_the_fraction_oracle(gpd, coboundary, lose_pair, data):
+    """Same violations in the same order as the Fraction loop, on sparse phases
+    (unreduced turns such as 3/2 included) over a zero or coboundary base; on a
+    table that lost a pair, the same exception."""
+    pairs = list(gpd.compose)
+    if lose_pair:
+        lost = data.draw(st.sampled_from(pairs))
+        pairs.remove(lost)
+        gpd = FiniteGroupoid(gpd.name, gpd.elements, gpd.units, gpd.source, gpd.range,
+                             gpd.inverse, {k: v for k, v in gpd.compose.items() if k != lost})
+    values = {}
+    if coboundary:
+        b = {g: Fraction(data.draw(st.integers(0, 7)), 8) for g in gpd.elements
+             if not gpd.is_unit(g)}
+        for g, h in pairs:
+            turns = (b.get(g, 0) + b.get(h, 0) - b.get(gpd.compose[(g, h)], 0)) % 1
+            if turns:
+                values[(g, h)] = Phase(turns)
+    for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=4)):
+        d = data.draw(st.sampled_from(_DENOMINATORS))
+        values[pair] = Phase(Fraction(data.draw(st.integers(-2 * d, 2 * d)), d))
+    cocycle = Cocycle(gpd, values)
+    assert _outcome(Cocycle.violations, cocycle) == _outcome(_fraction_violations, cocycle)
+    assert cocycle.grid == math.lcm(*(p.turns.denominator for p in values.values() if p.turns))
+
+
+def test_violations_take_no_fraction_sums(monkeypatch):
+    """The cocycle check adds whole numbers of 1/grid turns, never Fractions."""
+    z16 = cyclic_group(16, "Z16")
+    b = {g: Fraction(i, 8 if i % 2 else 12) for i, g in enumerate(z16.elements) if i}
+    valid = _coboundary(z16, b)
+    broken = Cocycle(z16, {**valid.values, (z16.elements[3], z16.elements[5]): Phase.of(1, 7)})
+    expected = _fraction_violations(broken)
+    assert expected and not _fraction_violations(valid)
+    assert valid.grid == 12 and broken.grid == 84 and Cocycle.trivial(z16).grid == 1
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the cocycle check")
+
+    monkeypatch.setattr(Fraction, "__add__", refuse)
+    monkeypatch.setattr(Fraction, "__sub__", refuse)
+    assert TwistedAlgebra(z16, valid).cocycle is valid
+    assert broken.violations() == expected
 
 
 def test_cocycle_rejects_noncomposable_pairs(r2):

@@ -12,7 +12,16 @@ from twistalg import (
     validate_groupoid,
 )
 from twistalg.errors import InputError
-from twistalg.groupoid import subset_inverse, subset_product
+from twistalg.groupoid import (
+    _POINT_AXIOMS,
+    Violation,
+    cyclic_group,
+    disjoint_union,
+    full_relation,
+    subset_inverse,
+    subset_product,
+    table_violations,
+)
 from twistalg.seeds import substream
 
 
@@ -66,6 +75,49 @@ def test_non_involutive_inverse_reported():
                             inverse, z3.compose)
     report = validate_groupoid(broken)
     assert any(v.axiom in ("inverse-involutive", "inverse-law") for v in report.violations)
+
+
+def _brute_validate(g):
+    """validate_groupoid with associativity over all of product(elements, repeat=3):
+    the loop the fiber sweep replaced, kept as its oracle."""
+    out = table_violations(g)
+    if any(v.axiom not in _POINT_AXIOMS for v in out):
+        return tuple(out)
+    for a in g.elements:
+        if g.compose.get((g.inverse[a], a)) != g.source[a]:
+            out.append(Violation("inverse-law", (a,), "inverse(g)*g != source(g)"))
+        if g.compose.get((a, g.inverse[a])) != g.range[a]:
+            out.append(Violation("inverse-law", (a,), "g*inverse(g) != range(g)"))
+        if g.compose.get((a, g.source[a])) != a or g.compose.get((g.range[a], a)) != a:
+            out.append(Violation("unit-law", (a,), "units do not act as identities"))
+    for a, b, c in itertools.product(g.elements, repeat=3):
+        if g.source[a] == g.range[b] and g.source[b] == g.range[c]:
+            if g.compose[(g.compose[(a, b)], c)] != g.compose[(a, g.compose[(b, c)])]:
+                out.append(Violation("associativity", (a, b, c), "(ab)c != a(bc)"))
+    return tuple(out)
+
+
+def test_validate_matches_the_brute_force_sweep():
+    """One compose entry replaced by each other element with the same endpoints,
+    by one with other endpoints, or dropped: the same violations in the same order."""
+    groupoids = [*standard_fixtures().values(), cyclic_group(6, "Z6"),
+                 disjoint_union(full_relation(3), cyclic_group(3), "R3_disj_Z3")]
+    associativity = 0
+    for g in groupoids:
+        for pair, value in g.compose.items():
+            same = [e for e in g.elements if e != value
+                    and (g.source[e], g.range[e]) == (g.source[value], g.range[value])]
+            other = [e for e in g.elements if e != value and e not in same][:1]
+            for corrupt in [*same, *other, None]:
+                compose = {k: v for k, v in g.compose.items() if k != pair}
+                if corrupt is not None:
+                    compose[pair] = corrupt
+                broken = FiniteGroupoid("bad", g.elements, g.units, g.source, g.range,
+                                        g.inverse, compose)
+                report = validate_groupoid(broken)
+                assert report.violations == _brute_validate(broken), (g.name, pair, corrupt)
+                associativity += any(v.axiom == "associativity" for v in report.violations)
+    assert associativity > 100
 
 
 def test_bisection_examples():

@@ -187,10 +187,10 @@ def test_hat_examples(r2, r3, rng):
 
 def test_second_hat_forms_no_product(monkeypatch, rng):
     """The point frame (delta_g^*, source and range point per g) is built once
-    per context, by the first hat or source_state.  After it, finding a point
-    or a hat value forms no convolution and takes no star, and rebuild_groupoid
-    forms only its membership and unit probes and the delta products of its
-    composition table."""
+    per context, by the first hat or source_state.  After it, finding a point,
+    testing whether an ultrafilter meets the diagonal or a hat value forms no
+    convolution and takes no star, and rebuild_groupoid forms only its
+    membership probes and the delta products of its composition table."""
     from twistalg import algebra
 
     counts = {"convolve": 0, "involution": 0}
@@ -220,11 +220,11 @@ def test_second_hat_forms_no_product(monkeypatch, rng):
             u = ultrafilter_at(ctx, g)
             assert (u.source_point(), u.range_point()) == (ctx.groupoid.source[g],
                                                            ctx.groupoid.range[g])
+            assert u.meets_diagonal() == ctx.groupoid.is_unit(g)
         assert counts == {"convolve": 0, "involution": 0}
         spec = SemigroupSpec.monomial(ctx)
         for g in elems:
             membership(spec, ctx.delta(g))
-            ultrafilter_at(ctx, g).meets_diagonal()
         probes = dict(counts)
         counts.update(convolve=0, involution=0)
         rebuild_groupoid(ctx, spec)
