@@ -300,7 +300,7 @@ def _outcome(check, cocycle):
         return type(exc), str(exc)
 
 
-_ORACLE_GROUPOIDS = (*standard_fixtures().values(), full_relation(3, "R3"), cyclic_group(6, "Z6"),
+_ORACLE_GROUPOIDS = (*standard_fixtures().values(), cyclic_group(6, "Z6"),
                      disjoint_union(full_relation(3), cyclic_group(3), "R3_disj_Z3"))
 # Small denominators, the snap limit, and large pairwise coprime primes whose lcm
 # runs far past it.
