@@ -206,6 +206,8 @@ class TwistedAlgebra:
             w = bad[0]
             raise InputError(f"invalid cocycle: {w['axiom']} at {w['witness']}")
         self.zero_tol = float(zero_tol)
+        if self.zero_tol >= 1:  # every delta_g has the coefficient 1 and would count as zero
+            raise InputError(f"zero tolerance {self.zero_tol!r} is not below 1")
         self.name = name or groupoid.name
         # h -> k -> (hk, sigma(h, k)) and g -> (g^-1, conj(sigma(g^-1, g))), with the
         # phases taken to complex once here for the coefficient kernels.
@@ -395,6 +397,34 @@ def product_coeff(a: AlgebraElement, b: AlgebraElement, g: str) -> complex:
             continue
         acc = acc + product[h][k][1] * ah * bk
     return acc
+
+
+def pairwise_diagonal(lefts, rights) -> np.ndarray:
+    """The boolean matrix D[i, j] = is_diagonal(lefts[i] * rights[j]).
+
+    One matrix product (L[:, hs] * sigma) @ R[:, ks].T per non-unit point g, over
+    the composable pairs (h, k) with hk = g, a few dozen rows at a time.  Its sums
+    run in another order than convolve's; when each coefficient gets at most one
+    nonzero term, as for two bisections, the verdicts are equal.
+    """
+    out = np.ones((len(lefts), len(rights)), dtype=bool)
+    if not lefts or not rights:
+        return out
+    ctx = lefts[0].ctx
+    for x in (*lefts, *rights):
+        x._same_context(lefts[0])
+    gpd, terms = ctx.groupoid, {}
+    for h, row in ctx._product.items():
+        for k, (hk, sigma) in row.items():
+            if not gpd.is_unit(hk):
+                terms.setdefault(hk, []).append((gpd.index(h), gpd.index(k), sigma))
+    left = np.array([a.vector() for a in lefts])
+    right = np.array([b.vector() for b in rights])
+    for hs, ks, sigma in (map(np.array, zip(*t)) for t in terms.values()):
+        r = right[:, ks].T
+        for i in range(0, len(lefts), 32):
+            out[i:i + 32] &= np.abs((left[i:i + 32, hs] * sigma) @ r) <= ctx.zero_tol
+    return out
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:

@@ -131,8 +131,9 @@ def check_filter_axioms(u: Ultrafilter, sample) -> dict:
         if n is not None:
             down_witness = (repr(m), repr(n))
             break
+    # Only n outside U can be a witness, so the certificate runs on those alone.
     up_witness = next(((repr(m), repr(n)) for m in members for n in sample
-                       if dominates(m, n) is not None and not u.contains(n)), None)
+                       if not u.contains(n) and dominates(m, n) is not None), None)
     prime_witness = next(((repr(m), repr(n)) for m in sample for n in sample
                           if u.contains(m + n) and not (u.contains(m) or u.contains(n))), None)
     return {

@@ -25,8 +25,9 @@ from .algebra import (
     is_diagonal,
     is_monomial,
     max_coeff_diff,
+    pairwise_diagonal,
 )
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .groupoid import all_bisections, is_bisection, subset_inverse, subset_product
 
 EXHAUSTIVE_SWEEP_ELEMENTS = 6  # support sweeps cover every pattern up to this size
@@ -332,9 +333,9 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
     elements is exact for every supported kind, so generator-level checks
     suffice.  Span density is a rank computation.  Summability sweeps every
     pair among the first SWEEP_PATTERN_CAP (250) unit-coefficient bisection
-    members of the spec (exhaustive only when there are no more), then samples
-    random coefficients; the MASA and expectation support sweeps are exhaustive
-    up to EXHAUSTIVE_SWEEP_ELEMENTS (6) groupoid elements and sampled above.
+    members of the spec (exhaustive only when there are no more) as one batch,
+    then samples random pairs one by one; the MASA and expectation support sweeps
+    are exhaustive up to EXHAUSTIVE_SWEEP_ELEMENTS (6) elements and sampled above.
     """
     ctx = spec.ctx
     draws = 100
@@ -384,7 +385,15 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
     random_pairs = [
         (pool[rng.integers(len(pool))], pool[rng.integers(len(pool))]) for _ in range(draws)
     ]
-    summable_witness = first_unsummable(spec, [*itertools.combinations(sweep, 2), *random_pairs])
+    stars = [m.star() for m in sweep]
+    ok = np.triu(pairwise_diagonal(stars, sweep) & pairwise_diagonal(sweep, stars), 1)
+    # np.nonzero walks the upper triangle in itertools.combinations order.
+    witness = next(((sweep[i], sweep[j]) for i, j in zip(*np.nonzero(ok))
+                    if not membership(spec, sweep[i] + sweep[j])), None)
+    if witness is not None and not compatible(*witness):
+        raise ConsistencyError(f"batched and pairwise compatibility disagree on {witness}")
+    summable_witness = (tuple(map(repr, witness)) if witness is not None
+                        else first_unsummable(spec, random_pairs))
 
     return CartanReport(
         star_semigroup=star_ok,

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistalg import standard_contexts
-from twistalg.cli import main
+from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import InputError
 from twistalg.fileio import (
     context_to_dict,
@@ -308,6 +308,8 @@ CONTRACT_CASES = {
         lambda t: ["suite", _write_json(t / "empty.json", EMPTY_GROUPOID)], "input"),
     "validate-not-utf8": (lambda t: ["validate", _not_utf8(t)], "input"),
     "validate-directory": (lambda t: ["validate", t], None),
+    # At a tolerance of 1 or more every delta_g counts as zero: refused with a report.
+    "z2-tol-3": (lambda t: ["reconstruct", FIXDIR / "z2.json", "--tol", 3], "input"),
     "tol-nan": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "nan"], None),
     "tol-inf": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "inf"], None),
     "tol-not-a-number": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "abc"], None),
@@ -429,7 +431,6 @@ def test_compare_contract_under_mutation(text):
 
 # Loose tolerances make two routes to one value disagree: exit 4 with a report.
 CONSISTENCY_CASES = {
-    "z2-tol-3": ["reconstruct", FIXDIR / "z2.json", "--tol", 3],
     "v4_pauli-tol-1e-300": ["reconstruct", FIXDIR / "v4_pauli.json", "--tol", "1e-300"],
     "relations-tol-0.5": ["suite", FIXDIR / "r2.json", "--suite", "relations", "--tol", 0.5],
 }
@@ -441,6 +442,16 @@ def test_consistency_errors_exit_4(case, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "consistency" and error["message"]
     assert "np." not in error["message"]
+
+
+@pytest.mark.parametrize("tol", ["1", "1e200"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_no_suite_passes_at_a_tolerance_of_one_or_more(suite, tol, capsys):
+    capsys.readouterr()
+    assert run("suite", FIXDIR / "r2.json", "--suite", suite, "--tol", tol) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["kind"] == "input" and "suites" not in doc
+    assert doc["config"]["tolerance"] == float(tol)
 
 
 # A tolerance whose square overflows a float power still gives a report.

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistalg import (
     NotCartanError,
@@ -17,6 +19,7 @@ from twistalg import (
     ultrafilter_at,
     ultrafilter_product,
 )
+from twistalg import reconstruction
 from twistalg.algebra import Cocycle, Phase, TwistedAlgebra, diagonal, max_coeff_diff
 from twistalg.errors import InputError
 from twistalg.fileio import dumps
@@ -28,6 +31,7 @@ from twistalg.reconstruction import (
     rebuild_groupoid,
     unit_space_report,
 )
+from twistalg.relations import dominates
 from twistalg.seeds import substream
 from twistalg.semigroups import BisectionBasis, membership, random_element, random_monomial
 from twistalg.suites import _random_restriction
@@ -58,6 +62,36 @@ def test_filter_axioms_report_first_failing_pair(contexts):
     rep = check_filter_axioms(ultrafilter_at(z2, "1"), [first, second])
     assert not rep["additively_prime"]
     assert rep["prime_witness"] == (repr(first), repr(first))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_up_closure_witness_matches_the_old_order(contexts, data):
+    """Asking n in U before the certificate keeps the first witness of the old
+    order (certificate first), under the real certificate and under an arbitrary
+    relation on the sample, which can make any pair a witness."""
+    ctx = contexts[data.draw(st.sampled_from(sorted(contexts)))]
+    rng = substream(data.draw(st.integers(0, 2**16)), "up-closure")
+    g = data.draw(st.sampled_from(ctx.groupoid.elements))
+    u = ultrafilter_at(ctx, g)
+    sample = [ctx.delta(g)] + [random_monomial(ctx, rng)
+                               for _ in range(data.draw(st.integers(0, 6)))]
+    members = [m for m in sample if u.contains(m)]
+    related = {(i, j) for i in range(len(sample)) for j in range(len(sample))
+               if data.draw(st.booleans())}
+    index = {id(x): i for i, x in enumerate(sample)}
+
+    def arbitrary(m, n):  # the real certificate off the sample (the down-directedness bound)
+        if id(m) not in index or id(n) not in index:
+            return dominates(m, n)
+        return (index[id(m)], index[id(n)]) in related or None
+
+    for relation in (dominates, arbitrary):
+        old = next(((repr(m), repr(n)) for m in members for n in sample
+                    if relation(m, n) is not None and not u.contains(n)), None)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruction, "dominates", relation)
+            assert check_filter_axioms(u, sample)["up_witness"] == old
 
 
 def test_ultrafilter_products(r2):

@@ -14,7 +14,13 @@ from twistalg import (
 from twistalg.algebra import diagonal_function, is_diagonal, is_positive, max_coeff_diff
 from twistalg.errors import InputError
 from twistalg.seeds import substream
-from twistalg.semigroups import random_diagonal, random_element, random_monomial
+from twistalg.semigroups import (
+    _bisection_pattern_pairs,
+    first_unsummable,
+    random_diagonal,
+    random_element,
+    random_monomial,
+)
 
 
 def offdiag_basis(r2):
@@ -76,6 +82,26 @@ def test_basis_spec_cartan_but_not_summable(r2):
     assert report.summable_witness is not None
     lhs, rhs = report.summable_witness
     assert "(1,2)" in lhs + rhs and "(2,1)" in lhs + rhs
+
+
+def singleton_basis(ctx):
+    """Every diagonal bisection and every single point: a basis whose sums of
+    compatible off-diagonal points are not members."""
+    gpd = ctx.groupoid
+    units = list(gpd.units)
+    subsets = [list(c) for k in range(len(units) + 1) for c in itertools.combinations(units, k)]
+    return BisectionBasis(gpd, subsets + [[g] for g in gpd.elements])
+
+
+@pytest.mark.parametrize("name", ["R2", "R3", "R4", "R2_disj_Z2"])
+def test_summable_witness_matches_the_pairwise_sweep(contexts, name):
+    """The batched pattern sweep reports the first witness of the pairwise one."""
+    ctx = contexts[name]
+    spec = SemigroupSpec.basis_restricted(ctx, singleton_basis(ctx))
+    sweep = _bisection_pattern_pairs(ctx, spec)
+    oracle = first_unsummable(spec, itertools.combinations(sweep, 2))
+    assert oracle is not None
+    assert check_cartan(spec, substream(8, "sweep", name)).summable_witness == oracle
 
 
 def test_explicit_spec_fails_dense_span(r2):
