@@ -276,16 +276,18 @@ class TwistedAlgebra:
 class AlgebraElement:
     """Finitely supported complex function on the groupoid elements.
 
-    Immutable by convention: no method mutates coeffs after construction,
-    and the regular-representation blocks are cached write-once.
+    Immutable by convention: no method mutates coeffs after construction.
+    The regular-representation blocks and the dominating side built by
+    relations.dominates are cached write-once.
     """
 
-    __slots__ = ("ctx", "coeffs", "_blocks")
+    __slots__ = ("ctx", "coeffs", "_blocks", "_dominating")
 
     def __init__(self, ctx: TwistedAlgebra, coeffs: dict[str, complex]):
         self.ctx = ctx
         self.coeffs = dict(coeffs)
         self._blocks = None
+        self._dominating = None
 
     # -- bookkeeping -----------------------------------------------------------
 

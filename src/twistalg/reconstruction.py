@@ -119,23 +119,28 @@ def check_filter_axioms(u: Ultrafilter, sample) -> dict:
     """Down-directedness, up-closure and additive primeness on a finite sample.
 
     Each sweep stops at its first failing pair and reports it as the witness.
+    Down-directedness needs one certificate per member: l = m0(g) delta_g,
+    with m0 the first member, lies in U, and once l <= n holds for every
+    member n (m0 included) it is a common lower bound of every pair.  The
+    other members give the same l up to a nonzero scalar, so they would only
+    repeat that certificate.
     """
     ctx = u.ctx
     members = [m for m in sample if u.contains(m)]
     down_witness = None
-    for m in members:
-        # The same lower bound l serves every n, and n = m checks l <= m.
-        l = ctx.delta(u.g, m.coeff(u.g))
+    if members:
+        m0 = members[0]
+        l = ctx.delta(u.g, m0.coeff(u.g))
         l_in_u = u.contains(l)
         n = next((n for n in members if not (l_in_u and dominates(l, n))), None)
         if n is not None:
-            down_witness = (repr(m), repr(n))
-            break
+            down_witness = (repr(m0), repr(n))
     # Only n outside U can be a witness, so the certificate runs on those alone.
     up_witness = next(((repr(m), repr(n)) for m in members for n in sample
                        if not u.contains(n) and dominates(m, n) is not None), None)
+    # Only a pair of non-members can be a witness, so m + n is formed for those alone.
     prime_witness = next(((repr(m), repr(n)) for m in sample for n in sample
-                          if u.contains(m + n) and not (u.contains(m) or u.contains(n))), None)
+                          if not (u.contains(m) or u.contains(n)) and u.contains(m + n)), None)
     return {
         "proper": not u.contains(ctx.zero()),
         "down_directed": down_witness is None,
@@ -164,10 +169,11 @@ def range_state(u: Ultrafilter, b: AlgebraElement) -> complex:
 
 
 def magnitude(u: Ultrafilter, n: AlgebraElement) -> float:
-    """sqrt of the source state of n*n; equals |n| at the point of U."""
+    """sqrt of the source state of n*n, read as the one coefficient (n* n)(s_g)
+    at the source point s_g of U; equals |n| at the point of U."""
     if not u.contains(n):
         raise InputError("magnitude requires membership in the ultrafilter")
-    val = source_state(u, diagonal(n.star() * n))
+    val = product_coeff(n.star(), n, u.source_point())
     if abs(val.imag) > 1e-9 or val.real < 0:
         raise ConsistencyError(f"state of n*n not positive at {u.g!r}: {complex(val)!r}")
     return float(np.sqrt(val.real))
@@ -179,10 +185,11 @@ def angle(u: Ultrafilter, m: AlgebraElement, n: AlgebraElement) -> complex:
     Both the state formula and the direct phase quotient
     m(g) conj(n(g)) / |m(g) n(g)| are computed; disagreement beyond 1e-9
     is a hard failure guarding against convolution or cocycle sign bugs.
+    The state is the one coefficient (n* m)(s_g), read as `hat` reads its own.
     """
     if not (u.contains(m) and u.contains(n)):
         raise InputError("angle requires membership in the ultrafilter")
-    formula = source_state(u, diagonal(n.star() * m)) / (magnitude(u, m) * magnitude(u, n))
+    formula = product_coeff(n.star(), m, u.source_point()) / (magnitude(u, m) * magnitude(u, n))
     mg, ng = m.coeff(u.g), n.coeff(u.g)
     direct = mg * ng.conjugate() / abs(mg * ng.conjugate())
     if abs(formula - direct) > 1e-9:
@@ -304,8 +311,11 @@ def product_criterion_report(ctx: TwistedAlgebra, rng) -> dict:
     for a in gpd.elements:
         for b in gpd.elements:
             defined = ultrafilter_product(ultrafilter_at(ctx, a), ultrafilter_at(ctx, b))
+            # A coefficient at ab above the tolerance already shows m * n != 0.
             zero_free = all(
-                not (m * n).is_zero() for m in members[a] for n in members[b]
+                (defined is not None and abs(product_coeff(m, n, defined.g)) > ctx.zero_tol)
+                or not (m * n).is_zero()
+                for m in members[a] for n in members[b]
             )
             if (defined is not None) != zero_free:
                 criterion_ok, witness = False, (a, b)
@@ -451,8 +461,8 @@ def states_report(ctx: TwistedAlgebra, rng) -> dict:
         recovery_ok = recovery_ok and equivalent_in(u, l0, n) and dominates(l0, m) is not None
     # angle product rule over composable sampled pairs
     product_res = 0.0
+    pairs = list(gpd.compose)
     for _ in range(samples // 2):
-        pairs = list(gpd.compose)
         g, h = pairs[int(rng.integers(len(pairs)))]
         u, v = ultrafilter_at(ctx, g), ultrafilter_at(ctx, h)
         uv = ultrafilter_at(ctx, gpd.compose[(g, h)])

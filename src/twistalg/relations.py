@@ -106,7 +106,13 @@ def certify_domination(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement) 
     """Evaluate all five certificate conditions for m <_s n."""
     m._same_context(s)
     m._same_context(n)
-    sm, sn, ns = s * m, s * n, n * s
+    return _certificate(m, s, n, s * n, n * s)
+
+
+def _certificate(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement,
+                 sn: AlgebraElement, ns: AlgebraElement) -> DominationWitness:
+    """The certificate for m <_s n, given the products s*n and n*s."""
+    sm = s * m
     diag_ok = all(is_diagonal(x) for x in (sm, m * s, sn, ns))
     residual = max(
         max_coeff_diff(n * sm, m),
@@ -133,15 +139,27 @@ def dominates(m: AlgebraElement, n: AlgebraElement) -> DominationWitness | None:
     Builds the witness s = f(n*n) n* restricted to the range fibers of m
     and returns it iff it certifies m <_s n.  The certificate outcome must
     coincide with the support oracle supp(m) within supp(n); a mismatch is
-    a hard failure.
+    a hard failure.  The part that does not depend on m is built once per
+    n and kept on it: supp(n), f(n*n) n*, and per set of range units of m,
+    s, s*n and n*s.
     """
-    _require_monomial(m, n)
+    _require_monomial(m)
+    if n._dominating is None:  # n's own side, built whatever m's context
+        _require_monomial(n)
+        n._dominating = (frozenset(n.support()), _inverse_on_support(n), {})
+    n_support, inverse, by_units = n._dominating
+    m._same_context(n)
     ctx = m.ctx
     gpd = ctx.groupoid
-    range_units = sorted({gpd.range[g] for g in m.support()}, key=gpd.index)
-    s = _inverse_on_support(n) * ctx.indicator(range_units)
-    witness = certify_domination(m, s, n)
-    oracle = set(m.support()) <= set(n.support())
+    m_support = m.support()
+    range_units = tuple(sorted({gpd.range[g] for g in m_support}, key=gpd.index))
+    side = by_units.get(range_units)
+    if side is None:
+        s = inverse * ctx.indicator(range_units)
+        side = by_units[range_units] = (s, s * n, n * s)
+    s, sn, ns = side
+    witness = _certificate(m, s, n, sn, ns)
+    oracle = set(m_support) <= n_support
     if witness.ok != oracle:
         raise ConsistencyError(
             f"domination certificate ({witness.ok}) disagrees with support oracle ({oracle})"

@@ -434,13 +434,19 @@ CONSISTENCY_CASES = {
     "v4_pauli-tol-1e-300": ["reconstruct", FIXDIR / "v4_pauli.json", "--tol", "1e-300"],
     "relations-tol-0.5": ["suite", FIXDIR / "r2.json", "--suite", "relations", "--tol", 0.5],
 }
+# The first failing check of each case, which reordering the checks must not move.
+CONSISTENCY_MESSAGES = {
+    "v4_pauli-tol-1e-300": "domination certificate (False) disagrees with support oracle (True)",
+    "relations-tol-0.5": "ball witness failed: {'ok': False, 'diagonal': True, 'positive': True, "
+                         "'norms_ok': True, 'residual': 0.570510523552995}",
+}
 
 
 @pytest.mark.parametrize("case", sorted(CONSISTENCY_CASES))
 def test_consistency_errors_exit_4(case, capsys):
     assert run(*CONSISTENCY_CASES[case]) == 4
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["kind"] == "consistency" and error["message"]
+    assert error["kind"] == "consistency" and error["message"] == CONSISTENCY_MESSAGES[case]
     assert "np." not in error["message"]
 
 

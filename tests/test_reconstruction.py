@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,14 @@ from twistalg import (
     ultrafilter_product,
 )
 from twistalg import reconstruction
-from twistalg.algebra import Cocycle, Phase, TwistedAlgebra, diagonal, max_coeff_diff
+from twistalg.algebra import (
+    AlgebraElement,
+    Cocycle,
+    Phase,
+    TwistedAlgebra,
+    diagonal,
+    max_coeff_diff,
+)
 from twistalg.errors import InputError
 from twistalg.fileio import dumps
 from twistalg.groupoid import FiniteGroupoid, cyclic_group, full_relation
@@ -94,6 +102,154 @@ def test_up_closure_witness_matches_the_old_order(contexts, data):
             assert check_filter_axioms(u, sample)["up_witness"] == old
 
 
+def _filter_sample(ctx, g, rng, data):
+    """delta_g, members through g (some rescaled, some cut to g alone) and
+    random monomials, which may lie outside U_g."""
+    sample = [ctx.delta(g)]
+    for _ in range(data.draw(st.integers(0, 5))):
+        m = reconstruction._monomial_through(ctx, g, rng)
+        shape = data.draw(st.sampled_from(("as is", "scaled", "cut")))
+        if shape == "scaled":
+            m = data.draw(st.sampled_from((1e-3, 2.5, -1j))) * m
+        elif shape == "cut":
+            m = ctx.delta(g, m.coeff(g))
+        sample.append(m)
+    sample += [random_monomial(ctx, rng) for _ in range(data.draw(st.integers(0, 4)))]
+    return [sample[i] for i in data.draw(st.permutations(range(len(sample))))]
+
+
+def _all_rows_down_witness(u, members, relation):
+    """The down-directedness sweep before it was cut to one row: one lower
+    bound l = m(g) delta_g per member m, tried against every member n."""
+    for m in members:
+        l = u.ctx.delta(u.g, m.coeff(u.g))
+        l_in_u = u.contains(l)
+        n = next((n for n in members if not (l_in_u and relation(l, n))), None)
+        if n is not None:
+            return (repr(m), repr(n))
+    return None
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_down_witness_matches_the_all_rows_loop(contexts, data):
+    """The first member's row gives the all-rows loop's down_witness, under the
+    real certificate and under a relation that sees l only through its support,
+    which can make any member a witness."""
+    ctx = contexts[data.draw(st.sampled_from(sorted(contexts)))]
+    rng = substream(data.draw(st.integers(0, 2**16)), "down-directed")
+    g = data.draw(st.sampled_from(ctx.groupoid.elements))
+    u = ultrafilter_at(ctx, g)
+    sample = _filter_sample(ctx, g, rng, data)
+    members = [m for m in sample if u.contains(m)]
+    index = {id(x): i for i, x in enumerate(sample)}
+    related = {((g,), i) for i in range(len(sample)) if data.draw(st.booleans())}
+
+    def by_support(l, n):  # the real certificate on the up-closure pairs
+        if id(l) in index:
+            return dominates(l, n)
+        return ((l.support(), index[id(n)]) in related) or None
+
+    for relation in (dominates, by_support):
+        old = _all_rows_down_witness(u, members, relation)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruction, "dominates", relation)
+            assert check_filter_axioms(u, sample)["down_witness"] == old
+
+
+def test_down_sweep_certifies_each_member_once(contexts, monkeypatch):
+    """The down sweep makes one certificate per member: len(members) calls to
+    dominates with a lower bound l outside the sample, not len(members)^2."""
+    calls = []
+
+    def counting(m, n):
+        calls.append(m)
+        return dominates(m, n)
+
+    monkeypatch.setattr(reconstruction, "dominates", counting)
+    checked = 0
+    for name in ("R3", "Z4", "V4_pauli", "R2_disj_Z2"):
+        ctx = contexts[name]
+        rng = substream(3, "down-count", name)
+        for g in ctx.groupoid.elements:
+            u = ultrafilter_at(ctx, g)
+            sample = [ctx.delta(g)] + [reconstruction._monomial_through(ctx, g, rng)
+                                       for _ in range(4)]
+            sample += [random_monomial(ctx, rng) for _ in range(4)]
+            members = [m for m in sample if u.contains(m)]
+            calls.clear()
+            assert check_filter_axioms(u, sample)["down_directed"]
+            in_sample = {id(x) for x in sample}
+            assert sum(id(m) not in in_sample for m in calls) == len(members)
+            checked += len(members) > 1
+    assert checked > 0
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prime_witness_matches_the_old_order(contexts, data):
+    """Asking whether m and n are non-members before forming m + n keeps the
+    first witness of the old order (the sum first), including pairs of
+    sub-tolerance elements whose sum lands in U."""
+    ctx = contexts[data.draw(st.sampled_from(sorted(contexts)))]
+    rng = substream(data.draw(st.integers(0, 2**16)), "prime")
+    g = data.draw(st.sampled_from(ctx.groupoid.elements))
+    u = ultrafilter_at(ctx, g)
+    sample = _filter_sample(ctx, g, rng, data)
+    for _ in range(data.draw(st.integers(0, 3))):
+        tiny = data.draw(st.floats(0.3, 0.99)) * ctx.zero_tol
+        sample.insert(data.draw(st.integers(0, len(sample))), ctx.delta(g, tiny))
+    old = next(((repr(m), repr(n)) for m in sample for n in sample
+                if u.contains(m + n) and not (u.contains(m) or u.contains(n))), None)
+    assert check_filter_axioms(u, sample)["prime_witness"] == old
+
+
+def _z6_coboundary_context():
+    """Z6 twisted by the coboundary of b with values in 1/8 and 1/100 turns."""
+    z6 = cyclic_group(6, "Z6_cob")
+    b = {g: Fraction(i, 8) if i % 2 else Fraction(i, 100)
+         for i, g in enumerate(z6.elements) if not z6.is_unit(g)}
+    values = {}
+    for (g, h), gh in z6.compose.items():
+        turns = (b.get(g, 0) + b.get(h, 0) - b.get(gh, 0)) % 1
+        if turns:
+            values[(g, h)] = Phase(turns)
+    return TwistedAlgebra(z6, Cocycle(z6, values), name="Z6_cob")
+
+
+def test_angle_and_magnitude_read_one_coefficient(contexts, monkeypatch):
+    """angle and magnitude equal the state formula psi_U(E(n* m)) bit for bit,
+    and form no convolution."""
+    from twistalg import algebra
+
+    def old_magnitude(u, n):
+        return float(np.sqrt(source_state(u, diagonal(n.star() * n)).real))
+
+    def old_angle(u, m, n):
+        state = source_state(u, diagonal(n.star() * m))
+        return state / (old_magnitude(u, m) * old_magnitude(u, n))
+
+    cases = []
+    for ctx in (*contexts.values(), _z6_coboundary_context()):
+        rng = substream(5, "one-coefficient", ctx.name)
+        for g in ctx.groupoid.elements:
+            u = ultrafilter_at(ctx, g)
+            u.source_point()  # the point frame forms its products once, here
+            ms = [ctx.delta(g)] + [reconstruction._monomial_through(ctx, g, rng)
+                                   for _ in range(3)]
+            for m in ms:
+                cases.append((u, m, ms[-1], old_magnitude(u, m), old_angle(u, m, ms[-1])))
+
+    def refuse(a, b):
+        raise AssertionError("convolution formed")
+
+    monkeypatch.setattr(algebra, "convolve", refuse)
+    for u, m, n, mag, ang in cases:
+        assert magnitude(u, m) == mag
+        assert angle(u, m, n) == ang
+    assert any(ctx.cocycle.values for ctx in {u.ctx for u, *_ in cases})
+
+
 def test_ultrafilter_products(r2):
     uu = ultrafilter_at(r2, "(1,1)")
     assert ultrafilter_product(uu, uu).g == "(1,1)"
@@ -108,6 +264,81 @@ def test_product_criterion_exhaustive(contexts):
     for name in ("R2", "Z4", "V4_pauli", "R2_disj_Z2"):
         rep = product_criterion_report(contexts[name], substream(8, "pc", name))
         assert rep["passed"], (name, rep)
+
+
+def _full_product_criterion(ctx, rng):
+    """product_criterion_report as it was: every m * n formed in full."""
+    gpd = ctx.groupoid
+    members = {
+        g: [ctx.delta(g)] + [reconstruction._monomial_through(ctx, g, rng) for _ in range(3)]
+        for g in gpd.elements
+    }
+    criterion_ok, witness = True, None
+    for a in gpd.elements:
+        for b in gpd.elements:
+            defined = reconstruction.ultrafilter_product(ultrafilter_at(ctx, a),
+                                                         ultrafilter_at(ctx, b))
+            zero_free = all(not (m * n).is_zero() for m in members[a] for n in members[b])
+            if (defined is not None) != zero_free:
+                criterion_ok, witness = False, (a, b)
+                break
+    identity_ok, id_witness = True, None
+    for _ in range(40):
+        m = random_monomial(ctx, rng)
+        n = random_monomial(ctx, rng)
+        if basic_set(ctx, m * n) != reconstruction.subset_product(gpd, m.support(), n.support()):
+            identity_ok, id_witness = False, (repr(m), repr(n))
+            break
+    return {
+        "passed": criterion_ok and identity_ok,
+        "criterion_ok": criterion_ok,
+        "criterion_witness": witness,
+        "basic_set_identity_ok": identity_ok,
+        "basic_set_witness": id_witness,
+    }
+
+
+@pytest.mark.parametrize("near_tol", [False, True])
+def test_product_criterion_matches_the_full_product_oracle(contexts, monkeypatch, near_tol):
+    """The one-coefficient test with its full-product fallback gives the full
+    products' report.  With near_tol, two of the three sampled members through
+    each point have |m(g)| = sqrt(zero_tol) (1 +- 1e-4), so that the coefficient
+    of m * n at ab lands just above or just below the tolerance on defined pairs,
+    and the fallback runs on the ones below."""
+    through = reconstruction._monomial_through
+    drawn = []
+
+    def near_tolerance(ctx, g, rng):
+        m = through(ctx, g, rng)
+        drawn.append(m)
+        scale = (1 + 1e-4, 1 - 1e-4, None)[(len(drawn) - 1) % 3]
+        if scale is None:
+            return m
+        c = m.coeff(g)
+        return AlgebraElement(ctx, {**m.coeffs, g: scale * np.sqrt(ctx.zero_tol) * c / abs(c)})
+
+    if near_tol:
+        monkeypatch.setattr(reconstruction, "_monomial_through", near_tolerance)
+    read = []
+    product_coeff = reconstruction.product_coeff
+
+    def recording(a, b, g):
+        value = product_coeff(a, b, g)
+        read.append(abs(value))
+        return value
+
+    monkeypatch.setattr(reconstruction, "product_coeff", recording)
+    twisted = _z6_coboundary_context()
+    for ctx in (*contexts.values(), twisted):
+        for seed in (1, 8):
+            drawn.clear()
+            expected = _full_product_criterion(ctx, substream(seed, "pc-oracle", ctx.name))
+            drawn.clear()
+            report = product_criterion_report(ctx, substream(seed, "pc-oracle", ctx.name))
+            assert report == expected, (ctx.name, seed)
+    tol = twisted.zero_tol
+    assert any(x > tol for x in read)
+    assert any(x <= tol for x in read) == near_tol
 
 
 def test_unit_space_characterizations(contexts):

@@ -10,10 +10,11 @@ from twistalg import (
     dominates,
     interpolate,
     predomain_interpolant,
+    relations,
     restriction_le,
     standard_contexts,
 )
-from twistalg.algebra import TwistedAlgebra, cstar_norm, diagonal, max_coeff_diff
+from twistalg.algebra import AlgebraElement, TwistedAlgebra, cstar_norm, diagonal, max_coeff_diff
 from twistalg.errors import InputError
 from twistalg.relations import general_restriction_le, verify_ball_certificate
 from twistalg.semigroups import random_monomial
@@ -230,6 +231,54 @@ def test_domination_certificate_forms_each_product_once(r3, rng, monkeypatch):
         assert cert.residual == fresh
         checked += w is not None
     assert checked > 0
+
+
+def test_reused_dominating_side_matches_a_fresh_copy(contexts, rng):
+    """dominates(m, n) with n kept across a sweep, its side built once and the
+    s, s*n, n*s of each range-unit set reused, gives the certificate that a
+    fresh copy of n gets from s = f(n*n) n* 1_r(m) formed afresh: the same s,
+    residual, sn and ns."""
+    reused = 0
+    for name in ("R3", "Z4", "V4_pauli", "R2_disj_Z2"):
+        ctx = contexts[name]
+        gpd = ctx.groupoid
+        for _ in range(8):
+            n = random_monomial(ctx, rng)
+            ms = [_random_restriction(n, rng) for _ in range(4)]
+            ms += [random_monomial(ctx, rng) for _ in range(3)] + ms[:2]
+            for m in ms:
+                kept = dominates(m, n)
+                copy = AlgebraElement(ctx, n.coeffs)
+                units = sorted({gpd.range[g] for g in m.support()}, key=gpd.index)
+                s = relations._inverse_on_support(copy) * ctx.indicator(units)
+                fresh = certify_domination(m, s, copy)
+                assert (kept is not None) == fresh.ok
+                if kept is not None:
+                    assert kept.s.coeffs == fresh.s.coeffs
+                    assert kept.residual == fresh.residual
+                    assert kept.sn.coeffs == fresh.sn.coeffs
+                    assert kept.ns.coeffs == fresh.ns.coeffs
+            reused += len(n._dominating[2]) < len(ms)
+    assert reused > 0
+
+
+def test_dominates_refuses_a_foreign_m_after_n_is_kept(r2):
+    n = r2.delta("(1,1)") + r2.delta("(2,2)")
+    assert dominates(r2.delta("(1,1)"), n) is not None
+    other = TwistedAlgebra(r2.groupoid, name="R2_other")
+    with pytest.raises(InputError, match="context mismatch"):
+        dominates(other.delta("(1,1)"), n)
+    assert dominates(r2.delta("(2,2)"), n) is not None
+
+
+def test_dominates_refuses_a_non_monomial_n_on_every_call(r2):
+    n = r2.delta("(1,1)") + r2.delta("(1,2)")  # both have range (1,1)
+    for _ in range(3):
+        with pytest.raises(InputError, match="monomial element required"):
+            dominates(r2.delta("(1,1)"), n)
+    assert n._dominating is None
+    with pytest.raises(InputError, match="monomial element required"):
+        dominates(n, r2.delta("(1,1)"))
 
 
 def test_ball_witness_requires_domination(r2):
