@@ -1,10 +1,10 @@
 """Commutants, MASA detection, and the normalizer-vs-MASA theorems.
 
-The commutant of the diagonal subalgebra is computed by a linear solve
-against the regular representation and pulled back (legitimate because
-the representation is faithful), then cross-checked against the
-combinatorial characterization: an element commutes with every diagonal
-delta iff its support lies in the isotropy.
+The commutant of the diagonal subalgebra is the null space of the linear
+map a -> (delta_u a - a delta_u) over the units u, solved on coefficient
+vectors, then cross-checked against the combinatorial characterization:
+an element commutes with every diagonal delta iff its support lies in the
+isotropy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .algebra import (
     is_diagonal,
     is_monomial,
     max_coeff_diff,
-    regular_representation,
 )
 from .errors import ConsistencyError, InputError
 from .groupoid import is_effective
@@ -55,26 +54,16 @@ def commutant_basis(ctx: TwistedAlgebra) -> CommutantBasis:
     """Solve for the commutant and cache the cross-checked basis on ctx,
     where is_masa reads it."""
     gpd = ctx.groupoid
-    n = len(gpd.elements)
-    # Stack the linear maps a -> [pi(delta_u), pi(a)] over all units; the
-    # commutant is the null space.
-    unit_imgs = [regular_representation(ctx.delta(u)) for u in gpd.units]
-    columns = []
-    for g in gpd.elements:
-        g_img = regular_representation(ctx.delta(g))
-        col = []
-        for du_img in unit_imgs:
-            for unit in gpd.units:
-                bu, bg = du_img.blocks[unit], g_img.blocks[unit]
-                col.append((bu @ bg - bg @ bu).ravel())
-        columns.append(np.concatenate(col) if col else np.zeros(0, dtype=complex))
-    mat = np.array(columns).T
-    if mat.size == 0:
-        null = np.eye(n, dtype=complex)
-    else:
-        _, s, vh = np.linalg.svd(mat)
-        rank = int((s > 1e-10 * max(s[0], 1.0)).sum()) if s.size else 0
-        null = vh[rank:].conj()
+    units = [ctx.delta(u) for u in gpd.units]
+    deltas = [ctx.delta(g) for g in gpd.elements]
+    # Column g stacks the coefficient vectors of delta_u delta_g - delta_g delta_u over
+    # all units u; the commutant is the null space.  The explicit shape keeps the
+    # matrix two-dimensional when the groupoid has no elements.
+    mat = np.array([np.concatenate([(du * dg - dg * du).vector() for du in units])
+                    for dg in deltas]).reshape(len(deltas), len(units) * len(deltas)).T
+    _, s, vh = np.linalg.svd(mat)
+    rank = int((s > 1e-10 * max(s[0], 1.0)).sum()) if s.size else 0
+    null = vh[rank:].conj()
     vectors = []
     for row in null:
         coeffs = {g: row[i] for i, g in enumerate(gpd.elements) if abs(row[i]) > 1e-12}

@@ -121,16 +121,19 @@ def _certificate(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement,
     return DominationWitness(m, s, n, residual, diag_ok, sn, ns)
 
 
-def _inverse_on_support(n: AlgebraElement) -> AlgebraElement:
-    """f(n*n) n* with f(x) = 1/x on the surviving spectrum, 0 elsewhere.
+def _on_support(n: AlgebraElement, f) -> AlgebraElement:
+    """f(n*n) on the surviving spectrum, 0 elsewhere.
 
     The cut sits at zero_tol squared so that it keeps exactly the fibers
     of the coefficients that count as support (|n(g)| > zero_tol).
     """
-    ctx = n.ctx
-    cut = ctx.zero_tol * ctx.zero_tol
-    nstar = n.star()
-    return diagonal_function(nstar * n, lambda x: 1.0 / x if x > cut else 0.0) * nstar
+    cut = n.ctx.zero_tol * n.ctx.zero_tol
+    return diagonal_function(n.star() * n, lambda x: f(x) if x > cut else 0.0)
+
+
+def _inverse_on_support(n: AlgebraElement) -> AlgebraElement:
+    """f(n*n) n* with f(x) = 1/x on the surviving spectrum, 0 elsewhere."""
+    return _on_support(n, lambda x: 1.0 / x) * n.star()
 
 
 def dominates(m: AlgebraElement, n: AlgebraElement) -> DominationWitness | None:
@@ -256,11 +259,9 @@ def ball_witness(m: AlgebraElement, n: AlgebraElement) -> AlgebraElement:
     and h(x) = min(1/x, rx) for r > 16 ||s||^4.
     """
     s = _positive_ball_witness(m, n)
-    ctx = m.ctx
-    tol = ctx.zero_tol
     r = 16.0 * max(cstar_norm(s), 1.0) ** 4 + 1.0
     g_sn = diagonal_function(s * n, lambda x: max(2 * x - 1, 0.0))
-    h_nn = diagonal_function(n.star() * n, lambda x: min(1.0 / x, r * x) if x > tol else 0.0)
+    h_nn = _on_support(n, lambda x: min(1.0 / x, r * x))
     t = g_sn * (h_nn * n.star())
     checks = verify_ball_certificate(m, t, n)
     if not checks["ok"]:
@@ -299,7 +300,7 @@ def predomain_interpolant(ms, n: AlgebraElement) -> AlgebraElement:
         raise InputError("need at least one dominated element")
     ctx = n.ctx
     tol = ctx.zero_tol
-    inv_nn = diagonal_function(n.star() * n, lambda x: 1.0 / x if x > tol else 0.0)
+    inv_nn = _on_support(n, lambda x: 1.0 / x)
     beta = ctx.zero()
     for m in ms:
         t = ball_witness(m, n)

@@ -249,27 +249,23 @@ def _in_span(vec: np.ndarray, basis: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(residual) <= max(tol, 1e-8 * (1 + np.linalg.norm(vec))))
 
 
-def positive_cone_algebra(spec: SemigroupSpec, members) -> np.ndarray:
+def positive_cone_algebra(spec: SemigroupSpec, members) -> tuple[np.ndarray, list[AlgebraElement]]:
     """Orthonormal coefficient basis of C*(N+), the algebra generated by
-    the squares n*n of semigroup members."""
+    the squares n*n of semigroup members, and its rows as elements.
+
+    The span of the squares is closed under the products of its own basis
+    elements, with one rank test per round, until the rank stops growing.
+    """
     ctx = spec.ctx
-    gens = [(m.star() * m) for m in members]
-    gens = [g for g in gens if not g.is_zero()]
-    basis = _orthonormal_basis([g.vector() for g in gens])
-    elements = list(gens)
+    squares = (m.star() * m for m in members)
+    basis = _orthonormal_basis([sq.vector() for sq in squares if not sq.is_zero()])
     while True:
-        dim = basis.shape[0]
-        new = []
-        for a, b in itertools.product(elements, repeat=2):
-            prod = a * b
-            if not _in_span(prod.vector(), basis, ctx.zero_tol):
-                new.append(prod)
-        if not new:
-            return basis
-        elements.extend(new)
-        basis = _orthonormal_basis(list(basis) + [n.vector() for n in new])
-        if basis.shape[0] == dim:
-            return basis
+        rows = [AlgebraElement(ctx, dict(zip(ctx.groupoid.elements, row))) for row in basis]
+        products = [(a * b).vector() for a, b in itertools.product(rows, repeat=2)]
+        grown = _orthonormal_basis([*basis, *products])
+        if grown.shape[0] == basis.shape[0]:
+            return basis, rows
+        basis = grown
 
 
 @dataclass(frozen=True)
@@ -358,17 +354,15 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
     dim = _orthonormal_basis([m.vector() for m in members]).shape[0]
     dense = dim == ctx.dimension
 
-    b_basis = positive_cone_algebra(spec, members)
+    b_basis, b_elements = positive_cone_algebra(spec, members)
     comm_ok, comm_witness = True, None
-    dense_b = [AlgebraElement(ctx, {g: row[ctx.groupoid.index(g)]
-                                    for g in ctx.groupoid.elements}) for row in b_basis]
-    for x, y in itertools.combinations(dense_b, 2):
+    for x, y in itertools.combinations(b_elements, 2):
         if max_coeff_diff(x * y, y * x) > 1e-8:
             comm_ok, comm_witness = False, f"{x!r} vs {y!r}"
             break
 
     b_ok, b_witness = True, None
-    trial_bs = dense_b + [_random_combination(ctx, dense_b, rng) for _ in range(10)]
+    trial_bs = b_elements + [_random_combination(ctx, b_elements, rng) for _ in range(10)]
     for x in trial_bs:
         if not membership(spec, x):
             b_ok, b_witness = False, repr(x)

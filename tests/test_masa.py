@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twistalg import (
@@ -11,8 +12,15 @@ from twistalg import (
     standard_contexts,
     suites,
 )
-from twistalg.algebra import diagonal, is_diagonal, max_coeff_diff
+from twistalg.algebra import (
+    TwistedAlgebra,
+    diagonal,
+    is_diagonal,
+    max_coeff_diff,
+    regular_representation,
+)
 from twistalg.errors import InputError
+from twistalg.groupoid import FiniteGroupoid
 from twistalg.masa import nonmonomial_normalizer, summable_normalizers_report
 from twistalg.relations import general_restriction_le
 from twistalg.seeds import substream
@@ -35,6 +43,38 @@ def test_commutant_vectors_commute_with_diagonal(contexts, rng):
             for u in ctx.groupoid.units:
                 du = ctx.delta(u)
                 assert max_coeff_diff(v * du, du * v) < 1e-10
+
+
+def _regular_representation_commutant(ctx):
+    """Null space of a -> [pi(delta_u), pi(a)] stacked over the units and the
+    representation blocks: the route commutant_basis replaced, kept as an oracle."""
+    gpd = ctx.groupoid
+    unit_imgs = [regular_representation(ctx.delta(u)) for u in gpd.units]
+    columns = []
+    for g in gpd.elements:
+        g_img = regular_representation(ctx.delta(g))
+        columns.append(np.concatenate([
+            (du.blocks[w] @ g_img.blocks[w] - g_img.blocks[w] @ du.blocks[w]).ravel()
+            for du in unit_imgs for w in gpd.units
+        ]))
+    _, s, vh = np.linalg.svd(np.array(columns).T)
+    rank = int((s > 1e-10 * max(s[0], 1.0)).sum())
+    return vh[rank:].conj()
+
+
+def test_commutant_spans_what_the_regular_representation_stack_spans(contexts):
+    assert "V4_pauli" in contexts
+    for name, ctx in contexts.items():
+        oracle = _regular_representation_commutant(ctx)
+        basis = np.array([v.vector() for v in commutant_basis(ctx).vectors])
+        assert basis.shape == oracle.shape, name
+        assert np.linalg.matrix_rank(np.vstack([basis, oracle]), tol=1e-8) == len(oracle), name
+
+
+def test_commutant_of_the_empty_groupoid():
+    ctx = TwistedAlgebra(FiniteGroupoid("empty", [], [], {}, {}, {}, {}))
+    assert commutant_basis(ctx).dimension == 0
+    assert is_masa(ctx)
 
 
 def test_masa_iff_effective(contexts):

@@ -286,6 +286,21 @@ def test_ball_witness_requires_domination(r2):
         ball_witness(r2.delta("(1,2)"), r2.delta("(2,1)"))
 
 
+@pytest.mark.parametrize("coeff", [1e-5, 1e-6, 1e-8])
+def test_witnesses_keep_coefficients_with_squares_below_the_tolerance(r2, coeff):
+    """|m(g)| above the tolerance is support even when |m(g)|^2 is not: the ball witness
+    and the predomain interpolant cut n*n at the tolerance squared."""
+    m = r2.delta("(1,2)", coeff)
+    n = m + r2.delta("(2,1)")
+    checks = verify_ball_certificate(m, ball_witness(m, n), n)
+    assert checks["ok"], checks
+    # ball_witness's failure message embeds this dict, so it holds plain Python values.
+    assert all(type(v) in (bool, float) for v in checks.values())
+    l = predomain_interpolant([m], n)
+    assert certify_domination(m, l.star(), l).ok
+    assert dominates(l, n) is not None
+
+
 def test_predomain_single_reduces_to_interpolant(r2):
     m = r2.delta("(1,1)")
     n = r2.one()

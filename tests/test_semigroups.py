@@ -16,10 +16,14 @@ from twistalg.errors import InputError
 from twistalg.seeds import substream
 from twistalg.semigroups import (
     _bisection_pattern_pairs,
+    _in_span,
+    _orthonormal_basis,
     first_unsummable,
+    positive_cone_algebra,
     random_diagonal,
     random_element,
     random_monomial,
+    sample_members,
 )
 
 
@@ -186,6 +190,53 @@ def test_positive_cone_is_diagonal_positive(r3, z4, rng):
         b = random_diagonal(ctx, rng, positive=True)
         root = diagonal_function(b, np.sqrt)
         assert max_coeff_diff(root.star() * root, b) < 1e-12
+
+
+def test_positive_cone_closes_the_span_under_products(r3):
+    """The square diag(1, 2, 0) spans a line its own square leaves, so the closure grows."""
+    n = r3.delta("(1,1)") + 2 ** 0.5 * r3.delta("(2,2)")
+    basis, rows = positive_cone_algebra(SemigroupSpec.monomial(r3), [n])
+    expected = np.array([r3.delta(u).vector() for u in ("(1,1)", "(2,2)")])
+    assert basis.shape[0] == 2
+    assert np.linalg.matrix_rank(np.vstack([basis, expected])) == 2
+    assert all(np.array_equal(x.vector(), row) for x, row in zip(rows, basis))
+
+
+def _generator_pair_closure(spec, members):
+    """C*(N+) closed over every ordered pair of the squares and of the products
+    found so far: the route positive_cone_algebra replaced, kept as an oracle."""
+    gens = [g for g in (m.star() * m for m in members) if not g.is_zero()]
+    basis = _orthonormal_basis([g.vector() for g in gens])
+    elements = list(gens)
+    while True:
+        dim = basis.shape[0]
+        new = [a * b for a, b in itertools.product(elements, repeat=2)]
+        new = [p for p in new if not _in_span(p.vector(), basis, spec.ctx.zero_tol)]
+        if not new:
+            return basis
+        elements.extend(new)
+        basis = _orthonormal_basis(list(basis) + [p.vector() for p in new])
+        if basis.shape[0] == dim:
+            return basis
+
+
+SPEC_KINDS = {
+    "monomial": SemigroupSpec.monomial,
+    "normalizers": SemigroupSpec.normalizers,
+    "basis": lambda ctx: SemigroupSpec.basis_restricted(ctx, singleton_basis(ctx)),
+    "csum": lambda ctx: csum_closure(SemigroupSpec.basis_restricted(ctx, singleton_basis(ctx))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_KINDS))
+def test_positive_cone_spans_what_the_generator_pair_closure_spans(contexts, kind):
+    for name, ctx in contexts.items():
+        spec = SPEC_KINDS[kind](ctx)
+        members = sample_members(spec, substream(9, "cone", kind, name))
+        basis, _ = positive_cone_algebra(spec, members)
+        oracle = _generator_pair_closure(spec, members)
+        assert basis.shape == oracle.shape, name
+        assert np.linalg.matrix_rank(np.vstack([basis, oracle]), tol=1e-8) == len(oracle), name
 
 
 def test_positive_monomials_are_diagonal(r2, z4, rng):
