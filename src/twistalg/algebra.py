@@ -218,11 +218,13 @@ class TwistedAlgebra:
         for g in groupoid.elements:
             phase, ginv = self.delta_star(g)
             self._star[g] = (ginv, phase.complex)
-        # The commutant basis, solved once by masa.commutant_basis, and the
+        # The commutant basis, solved once by masa.commutant_basis, the
         # g -> (delta_g^*, source point, range point) frame, built once by
-        # reconstruction._point_frame.
+        # reconstruction._point_frame, and the regular representation's index
+        # layout, built once by _representation_layout.
         self._commutant = None
         self._frame = None
+        self._layout = None
 
     def __repr__(self) -> str:
         twisted = "twisted" if self.cocycle.values else "untwisted"
@@ -277,17 +279,18 @@ class AlgebraElement:
     """Finitely supported complex function on the groupoid elements.
 
     Immutable by convention: no method mutates coeffs after construction.
-    The regular-representation blocks and the dominating side built by
-    relations.dominates are cached write-once.
+    Three caches are written once, on first use: `_blocks` (regular_representation),
+    `_dominating` (n's side in relations.dominates) and `_star` (star()).
     """
 
-    __slots__ = ("ctx", "coeffs", "_blocks", "_dominating")
+    __slots__ = ("ctx", "coeffs", "_blocks", "_dominating", "_star")
 
     def __init__(self, ctx: TwistedAlgebra, coeffs: dict[str, complex]):
         self.ctx = ctx
         self.coeffs = dict(coeffs)
         self._blocks = None
         self._dominating = None
+        self._star = None
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -350,7 +353,9 @@ class AlgebraElement:
     # -- *-algebra operations ----------------------------------------------------
 
     def star(self) -> "AlgebraElement":
-        return involution(self)
+        if self._star is None:
+            self._star = involution(self)
+        return self._star
 
 
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:
@@ -484,7 +489,9 @@ class MatrixImage:
 
     Block u acts on the basis {xi_h : source(h) = u} via
     pi_u(a) xi_h = sum over g with source(g) = range(h) of
-    sigma(g, h) a(g) xi_{gh}.
+    sigma(g, h) a(g) xi_{gh}.  Each entry is that one term, its real and imaginary
+    parts formed apart as Python's complex product forms them: numpy's vectorised
+    complex multiply can differ from it in the last bit.
     """
 
     basis: dict[str, tuple[str, ...]]
@@ -492,30 +499,44 @@ class MatrixImage:
 
     @property
     def operator_norm(self) -> float:
-        norms = [np.linalg.norm(m, 2) for m in self.blocks.values() if m.size]
-        return float(max(norms, default=0.0))
+        """The largest singular value, from one batched SVD per block shape."""
+        shapes = {m.shape for m in self.blocks.values() if m.size}
+        stacks = (np.stack([m for m in self.blocks.values() if m.shape == s]) for s in shapes)
+        return float(max((np.linalg.svd(x, compute_uv=False).max() for x in stacks), default=0.0))
+
+
+def _representation_layout(ctx: TwistedAlgebra) -> tuple:
+    """The regular representation's index layout, built once per context in one
+    pass over the product table: each unit's basis and the span of its block in
+    one flat buffer, and per pair (g, h) the position of the entry (gh, h) in
+    the block of source(h), the index of g, and sigma(g, h) split in two parts."""
+    if ctx._layout is None:
+        gpd, spans, col, row, size = ctx.groupoid, {}, {}, {}, 0
+        basis = {u: gpd.source_fiber(u) for u in gpd.units}
+        for u, fiber in basis.items():
+            spans[u] = (size, len(fiber))
+            for i, h in enumerate(fiber):
+                col[h], row[h] = size + i, i * len(fiber)
+            size += len(fiber) ** 2
+        terms = [(col[h] + row[gh], gpd.index(g), sigma)
+                 for g, pairs in ctx._product.items() for h, (gh, sigma) in pairs.items()]
+        pos, gather = (np.array([t[i] for t in terms], dtype=np.intp) for i in (0, 1))
+        sigma = np.array([t[2] for t in terms], dtype=complex)
+        ctx._layout = basis, spans, size, pos, gather, sigma.real.copy(), sigma.imag.copy()
+    return ctx._layout
 
 
 def regular_representation(a: AlgebraElement) -> MatrixImage:
-    if a._blocks is not None:
-        return a._blocks
-    gpd = a.ctx.groupoid
-    product = a.ctx._product
-    basis = {u: gpd.source_fiber(u) for u in gpd.units}
-    blocks = {}
-    for u, fiber in basis.items():
-        idx = {h: i for i, h in enumerate(fiber)}
-        m = np.zeros((len(fiber), len(fiber)), dtype=complex)
-        for h in fiber:
-            for g, c in a.coeffs.items():
-                if gpd.source[g] != gpd.range[h]:
-                    continue
-                gh, sigma = product[g][h]
-                m[idx[gh], idx[h]] += sigma * c
-        blocks[u] = m
-    image = MatrixImage(basis, blocks)
-    a._blocks = image
-    return image
+    if a._blocks is None:
+        basis, spans, size, pos, gather, sig_re, sig_im = _representation_layout(a.ctx)
+        c = a.vector()[gather]
+        flat = np.zeros(size, dtype=complex)
+        # 0.0 + turns a -0.0 part into 0.0, as adding the term to a zero entry does.
+        flat.real[pos] = 0.0 + (sig_re * c.real - sig_im * c.imag)
+        flat.imag[pos] = 0.0 + (sig_re * c.imag + sig_im * c.real)
+        blocks = {u: flat[s:s + d * d].reshape(d, d) for u, (s, d) in spans.items()}
+        a._blocks = MatrixImage(basis, blocks)
+    return a._blocks
 
 
 def cstar_norm(a: AlgebraElement) -> float:

@@ -211,19 +211,25 @@ def dominated_approximation(n: AlgebraElement, k: int) -> ApproximationResult:
     f_j is 1 at arguments >= 1/j and 0 below, so n_j keeps the
     coefficients of n with |value|^2 >= 1/j; n_j equals n exactly from the
     first index where 1/j clears the smallest nonzero value of n*n, and
-    that index is reported.
+    that index is reported.  n_j and its witness depend only on the set of
+    arguments that clear the cut, so each such plateau is certified once, at
+    its first j, and its pair is reused for the later j on it.
     """
     _require_monomial(n)
     nn = n.star() * n
-    elems, wits, stab = [], [], None
+    elems, wits, stab, plateaus = [], [], None, {}
     for j in range(1, k + 1):
         cut = 1.0 / j
-        f_j = diagonal_function(nn, lambda x: 1.0 if x >= cut else 0.0)
-        s_j = diagonal_function(nn, lambda x: 1.0 / x if x >= cut else 0.0) * n.star()
-        n_j = n * f_j
-        w = certify_domination(n_j, s_j, n)
-        if not w.ok:
-            raise ConsistencyError("plateau truncation failed its certificate")
+        plateau = tuple(u for u, c in nn.coeffs.items() if c.real >= cut)
+        if plateau not in plateaus:
+            f_j = diagonal_function(nn, lambda x: 1.0 if x >= cut else 0.0)
+            s_j = diagonal_function(nn, lambda x: 1.0 / x if x >= cut else 0.0) * n.star()
+            n_j = n * f_j
+            w = certify_domination(n_j, s_j, n)
+            if not w.ok:
+                raise ConsistencyError("plateau truncation failed its certificate")
+            plateaus[plateau] = n_j, w
+        n_j, w = plateaus[plateau]
         elems.append(n_j)
         wits.append(w)
         if stab is None and max_coeff_diff(n_j, n) <= n.ctx.zero_tol:

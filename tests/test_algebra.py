@@ -442,11 +442,15 @@ def _exact_blocks(ctx, a):
 
 _CONTEXT_NAMES = (*standard_contexts(), "Z6_cob")
 
+# Fibres of size 3 and 2, so the regular representation has blocks of two shapes.
+R3_DISJ_Z2 = TwistedAlgebra(disjoint_union(full_relation(3), cyclic_group(2), "R3_disj_Z2"))
 
-@given(st.sampled_from(_CONTEXT_NAMES), st.data())
+
+@given(st.sampled_from((*_CONTEXT_NAMES, "R3_disj_Z2")), st.data())
 @settings(max_examples=80, deadline=None)
 def test_kernel_is_bit_exact_against_exact_route(contexts, name, data):
-    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
+    ctx = R3_DISJ_Z2 if name == "R3_disj_Z2" else (
+        _z6_coboundary(data) if name == "Z6_cob" else contexts[name])
     gpd = ctx.groupoid
     assert sum(len(row) for row in ctx._product.values()) == len(gpd.compose)
     for (h, k), hk in gpd.compose.items():
@@ -460,8 +464,46 @@ def test_kernel_is_bit_exact_against_exact_route(contexts, name, data):
     image = regular_representation(a)
     exact = _exact_blocks(ctx, a)
     assert image.blocks.keys() == exact.keys()
-    for u, m in exact.items():
-        assert np.array_equal(image.blocks[u], m), (name, u)
+    for u, m in exact.items():  # bytes, so that the sign of each zero counts too
+        assert image.blocks[u].tobytes() == m.tobytes(), (name, u)
+
+
+def _norm_contexts():
+    z6 = cyclic_group(6, "Z6_cob")
+    b = {g: Fraction(i, 8 if i % 2 else 100) for i, g in enumerate(z6.elements) if i}
+    yield from standard_contexts().values()
+    yield TwistedAlgebra(z6, _coboundary(z6, b), name="Z6_cob")
+    yield R3_DISJ_Z2
+
+
+@pytest.mark.parametrize("ctx", list(_norm_contexts()), ids=lambda c: c.name)
+def test_batched_norm_equals_the_per_block_norm(ctx, rng):
+    """One SVD per block shape gives the largest per-block norm bit for bit."""
+    elements = [ctx.one(), ctx.zero(), *(ctx.delta(g) for g in ctx.groupoid.elements)]
+    elements += [random_element(ctx, rng) for _ in range(30)]
+    for a in elements:
+        image = regular_representation(a)
+        per_block = max(np.linalg.norm(m, 2) for m in image.blocks.values())
+        assert _bits(image.operator_norm) == _bits(float(per_block)), (ctx.name, a)
+    shapes = {m.shape for m in regular_representation(ctx.one()).blocks.values()}
+    assert (len(shapes) > 1) == (ctx is R3_DISJ_Z2)
+
+
+def test_norm_of_the_empty_groupoid_is_zero():
+    ctx = TwistedAlgebra(FiniteGroupoid("empty", [], [], {}, {}, {}, {}))
+    assert regular_representation(ctx.zero()).blocks == {}
+    assert cstar_norm(ctx.zero()) == 0.0
+
+
+@pytest.mark.parametrize("name", list(standard_contexts()))
+def test_star_is_written_once(contexts, name, rng):
+    ctx = contexts[name]
+    for a in [ctx.one(), *(random_element(ctx, rng) for _ in range(10))]:
+        star = a.star()
+        assert a.star() is star
+        fresh = involution(a)
+        assert star.coeffs.keys() == fresh.coeffs.keys()
+        assert all(_bits(star.coeffs[g]) == _bits(c) for g, c in fresh.coeffs.items())
 
 
 def _bits(z: complex) -> tuple[str, str]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,16 @@ from twistalg import (
     restriction_le,
     standard_contexts,
 )
-from twistalg.algebra import AlgebraElement, TwistedAlgebra, cstar_norm, diagonal, max_coeff_diff
-from twistalg.errors import InputError
+from twistalg.algebra import (
+    AlgebraElement,
+    TwistedAlgebra,
+    cstar_norm,
+    diagonal,
+    diagonal_function,
+    max_coeff_diff,
+)
+from twistalg.errors import ConsistencyError, InputError
+from twistalg.groupoid import is_bisection
 from twistalg.relations import general_restriction_le, verify_ball_certificate
 from twistalg.semigroups import random_monomial
 from twistalg.suites import _random_restriction, relations_suite
@@ -153,6 +163,109 @@ def test_dominated_approximation_all_certified(r3, rng):
         assert all(w.ok for w in res.witnesses)
         for n_j in res.elements:
             assert dominates(n_j, n) is not None
+
+
+def _per_j_approximation(n, k):
+    """dominated_approximation as one certificate per j, kept as the reference."""
+    nn = n.star() * n
+    elems, wits, stab = [], [], None
+    for j in range(1, k + 1):
+        cut = 1.0 / j
+        f_j = diagonal_function(nn, lambda x: 1.0 if x >= cut else 0.0)
+        s_j = diagonal_function(nn, lambda x: 1.0 / x if x >= cut else 0.0) * n.star()
+        n_j = n * f_j
+        w = certify_domination(n_j, s_j, n)
+        if not w.ok:
+            raise ConsistencyError("plateau truncation failed its certificate")
+        elems.append(n_j)
+        wits.append(w)
+        if stab is None and max_coeff_diff(n_j, n) <= n.ctx.zero_tol:
+            stab = j
+    return elems, wits, stab
+
+
+def _near_cut(j: int, ulps: int) -> float:
+    """A real r with r*r as near as floats allow to 1/j moved by `ulps` ulps."""
+    target = 1.0 / j
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    r = math.sqrt(target)
+    return min((r, math.nextafter(r, 0.0), math.nextafter(r, 2.0)), key=lambda x: abs(x * x - target))
+
+
+# |c|^2 on a cut 1/j or one ulp either side; the phases are exact, so |c|^2 = r*r.
+_CUT_COEFF = st.builds(lambda j, ulps, rot: rot * _near_cut(j, ulps), st.integers(1, 40),
+                       st.sampled_from((-1, 0, 1)), st.sampled_from((1, -1, 1j, -1j)))
+_ANY_COEFF = st.one_of(_CUT_COEFF, st.just(0j),
+                       st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+@given(st.sampled_from(sorted(standard_contexts())), st.integers(1, 40), st.data())
+@settings(max_examples=120, deadline=None)
+def test_dominated_approximation_matches_the_per_j_loop(contexts, name, k, data):
+    """One certificate per plateau gives every n_j, witness and index of one per j."""
+    ctx = contexts[name]
+    gpd = ctx.groupoid
+    support = []
+    for g in data.draw(st.permutations(gpd.elements)):
+        if is_bisection(gpd, (*support, g)) and data.draw(st.booleans()):
+            support.append(g)
+    n = AlgebraElement(ctx, {g: complex(data.draw(_ANY_COEFF)) for g in support})
+    try:
+        elems, wits, stab = _per_j_approximation(n, k)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            dominated_approximation(n, k)
+        return
+    res = dominated_approximation(n, k)
+    assert res.stabilization_index == stab
+    assert len(res.elements) == len(res.witnesses) == k
+    for old, new, old_w, new_w in zip(elems, res.elements, wits, res.witnesses):
+        assert {g: _bits(c) for g, c in new.coeffs.items()} == {
+            g: _bits(c) for g, c in old.coeffs.items()}
+        assert _bits(new_w.residual) == _bits(old_w.residual)
+        assert new_w.diagonal_ok == old_w.diagonal_ok
+
+
+def test_dominated_approximation_certifies_each_plateau_once(r2, r3, rng, monkeypatch):
+    counts = [0]
+    certify = relations.certify_domination
+
+    def counting(*args):
+        counts[0] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(relations, "certify_domination", counting)
+    ns = [r2.element({"(1,2)": 1.0, "(2,1)": 0.3})] + [random_monomial(r3, rng) for _ in range(20)]
+    certified = []
+    for n in ns:
+        nn = (n.star() * n).coeffs
+        plateaus = {frozenset(u for u, c in nn.items() if c.real >= 1.0 / j) for j in range(1, 41)}
+        counts[0] = 0
+        dominated_approximation(n, 40)
+        assert counts[0] == len(plateaus)
+        certified.append(counts[0])
+    assert certified[0] == 2  # |n(2,1)|^2 = 0.09 clears the cut from j = 12 on
+
+
+def test_inverse_on_support_stars_n_once(r3, rng, monkeypatch):
+    """The support cut and f(n*n) n* share the one involution kept on n."""
+    counts = [0]
+    involution = algebra.involution
+
+    def counting(a):
+        counts[0] += 1
+        return involution(a)
+
+    n = random_monomial(r3, rng)
+    monkeypatch.setattr(algebra, "involution", counting)
+    relations._on_support(n, lambda x: x)
+    relations._inverse_on_support(n)
+    assert counts[0] == 1
 
 
 def test_ball_witness_unit_case(r2):
