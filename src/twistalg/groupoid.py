@@ -431,7 +431,7 @@ def _element_signature(g: FiniteGroupoid, unit_sigs: dict, e: str) -> tuple:
     )
 
 
-def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
+def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget, labels=None):
     """Yield structure-preserving bijections a -> b by pruned backtracking.
 
     A node checks only the pairs its new element e brings, as in VF2: (x, e)
@@ -440,6 +440,12 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
     images of s(e), r(e) and e^-1.  BudgetExhausted is raised from the
     generator when the budget runs out; a search that ends without it was
     exhaustive.
+
+    `labels`, if given, is called once the element signatures match and
+    returns (pairs, pairing): pairs[e] lists (x, v) for the x that commute
+    with e in a, and pairing[(y, f)] is the value of a commuting pair of b.
+    A node then also requires pairing[(phi(x), phi(e))] == v for each mapped
+    x, so only the maps that preserve these labels are yielded.
     """
     ua = {u: _unit_signature(a, u) for u in a.units}
     ub = {u: _unit_signature(b, u) for u in b.units}
@@ -447,6 +453,7 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
     sig_b = {e: _element_signature(b, ub, e) for e in b.elements}
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return
+    pairs, pairing = labels() if labels is not None else ({}, {})
 
     candidates = {
         e: tuple(f for f in b.elements if sig_b[f] == sig_a[e]) for e in a.elements
@@ -479,7 +486,9 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
             mapping[e] = f
             if (all(agrees(x, e) and agrees(e, x) for x in mapping)
                     and all(agrees(x, y) for x, y in factors[e]
-                            if x in mapping and y in mapping)):
+                            if x in mapping and y in mapping)
+                    and all(pairing.get((mapping[x], f)) == v
+                            for x, v in pairs.get(e, ()) if x in mapping)):
                 used.add(f)
                 yield from search(i + 1)
                 used.discard(f)
@@ -489,16 +498,17 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget):
 
 
 def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, budget: int = 10**6,
-                         accept=None) -> IsoResult:
+                         accept=None, labels=None) -> IsoResult:
     """Search for a groupoid isomorphism a -> b within a node-visit budget.
 
     With `accept`, only an isomorphism for which accept(mapping) is true
-    counts as found; the others are counted in `rejected`.
+    counts as found; the others are counted in `rejected`.  `labels` prunes
+    the search as in `iter_isomorphisms`.
     """
     tracker = _Budget(budget)
     rejected = 0
     try:
-        for mapping in iter_isomorphisms(a, b, tracker):
+        for mapping in iter_isomorphisms(a, b, tracker, labels):
             if accept is None or accept(mapping):
                 return IsoResult("isomorphic", mapping, tracker.used, rejected)
             rejected += 1

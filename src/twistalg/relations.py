@@ -121,6 +121,13 @@ def _certificate(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement,
     return DominationWitness(m, s, n, residual, diag_ok, sn, ns)
 
 
+def _star_square(n: AlgebraElement) -> AlgebraElement:
+    """n*n, formed once per element and kept on it."""
+    if n._square is None:
+        n._square = n.star() * n
+    return n._square
+
+
 def _on_support(n: AlgebraElement, f) -> AlgebraElement:
     """f(n*n) on the surviving spectrum, 0 elsewhere.
 
@@ -128,7 +135,7 @@ def _on_support(n: AlgebraElement, f) -> AlgebraElement:
     of the coefficients that count as support (|n(g)| > zero_tol).
     """
     cut = n.ctx.zero_tol * n.ctx.zero_tol
-    return diagonal_function(n.star() * n, lambda x: f(x) if x > cut else 0.0)
+    return diagonal_function(_star_square(n), lambda x: f(x) if x > cut else 0.0)
 
 
 def _inverse_on_support(n: AlgebraElement) -> AlgebraElement:
@@ -216,7 +223,7 @@ def dominated_approximation(n: AlgebraElement, k: int) -> ApproximationResult:
     its first j, and its pair is reused for the later j on it.
     """
     _require_monomial(n)
-    nn = n.star() * n
+    nn = _star_square(n)
     elems, wits, stab, plateaus = [], [], None, {}
     for j in range(1, k + 1):
         cut = 1.0 / j
@@ -315,7 +322,7 @@ def predomain_interpolant(ms, n: AlgebraElement) -> AlgebraElement:
         for u, c in beta_m.coeffs.items():
             merged[u] = max(merged.get(u, 0j).real, c.real)
         beta = AlgebraElement(ctx, merged)
-    sn = beta * (n.star() * n)
+    sn = beta * _star_square(n)
     e = diagonal_function(sn, lambda x: 1.0 if x > tol else 0.0)
     scale = diagonal_function(beta * e, lambda x: x ** 0.5)
     l = n * scale

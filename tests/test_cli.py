@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistalg import standard_contexts
+from twistalg import FiniteGroupoid, standard_contexts
 from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import InputError
 from twistalg.fileio import (
@@ -129,10 +129,47 @@ def test_compare_flows(tmp_path):
     assert pauli["recovered_cocycle"]  # the sign entries survive the round trip
     assert run("compare", reports["z4"], reports["z4"]) == 0
     assert run("compare", reports["r2"], reports["swap2"]) == 0
-    assert run("compare", reports["z4"], reports["v4"]) == 1
+
+    def result(a, b):
+        out = tmp_path / f"cmp_{a}_{b}.json"
+        assert run("compare", reports[a], reports[b], "--out", out) == 1
+        return json.loads(out.read_text())["result"]
+
+    assert result("z4", "v4")["groupoids_isomorphic"] is False
     # same groupoid but inequivalent recovered twists
-    assert run("compare", reports["v4"], reports["v4_pauli"]) == 1
+    assert result("v4", "v4_pauli")["groupoids_isomorphic"] is True
     assert run("compare", reports["r4"], reports["r4"], "--iso-budget", 3) == 3
+
+
+def _bare_report(path, groupoid):
+    """A reconstruction report holding only what compare reads: the rebuilt
+    groupoid and a trivial recovered cocycle."""
+    path.write_text(json.dumps({"reconstruction": {"rebuilt_groupoid": groupoid.to_dict(),
+                                                   "recovered_cocycle": {}}}))
+    return path
+
+
+def test_compare_follow_up_out_of_budget_exits_3(tmp_path):
+    """Z4 x Z4 against the non-abelian Z4 x| Z4: the pairing-pruned search ends
+    within 600 nodes, the plain search that settles groupoids_isomorphic needs
+    1,168, so compare is inconclusive rather than guessing."""
+    def group(name, mul):
+        ids = [f"{a}{b}" for a in range(4) for b in range(4)]
+        compose = {(x, y): "".join(map(str, mul(*map(int, x), *map(int, y))))
+                   for x in ids for y in ids}
+        inverse = {x: y for (x, y), p in compose.items() if p == "00"}
+        units = dict.fromkeys(ids, "00")
+        return FiniteGroupoid(name, ids, ["00"], units, dict(units), inverse, compose)
+
+    a = _bare_report(tmp_path / "ab.json",
+                     group("Z4xZ4", lambda a, b, c, d: ((a + c) % 4, (b + d) % 4)))
+    b = _bare_report(tmp_path / "sd.json",
+                     group("Z4sdZ4", lambda a, b, c, d: ((a + (-1) ** b * c) % 4, (b + d) % 4)))
+    out = tmp_path / "cmp.json"
+    assert run("compare", a, b, "--iso-budget", 600, "--out", out) == 3
+    assert json.loads(out.read_text())["result"]["status"] == "inconclusive"
+    assert run("compare", a, b, "--iso-budget", 1168, "--out", out) == 1
+    assert json.loads(out.read_text())["result"]["groupoids_isomorphic"] is False
 
 
 def test_compare_malformed_report(tmp_path, capsys):

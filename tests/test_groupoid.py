@@ -15,9 +15,11 @@ from twistalg.errors import InputError
 from twistalg.groupoid import (
     _POINT_AXIOMS,
     Violation,
+    _Budget,
     cyclic_group,
     disjoint_union,
     full_relation,
+    iter_isomorphisms,
     subset_inverse,
     subset_product,
     table_violations,
@@ -225,6 +227,25 @@ def test_iso_full_automorphism_walks_pinned(name, automorphisms, nodes):
     g = standard_fixtures()[name]
     found, visited = _all_isomorphisms(g, g)
     assert (len(found), visited) == (automorphisms, nodes)
+
+
+@pytest.mark.parametrize("name, automorphisms, nodes", [
+    ("R3", 6, 141), ("R4", 24, 1936), ("V4", 6, 16), ("R2_disj_Z2", 2, 13)])
+def test_iso_walks_without_labels_are_unpruned(name, automorphisms, nodes):
+    """labels=None, passed explicitly, visits the nodes pinned above; labels
+    that every map preserves (each commuting pair labelled 0 on both sides)
+    prune nothing on these groupoids, whose automorphisms all preserve them."""
+    g = standard_fixtures()[name]
+    budget = _Budget(10**6)
+    assert len(list(iter_isomorphisms(g, g, budget, None))) == automorphisms
+    assert budget.used == nodes
+    commuting = {pair: 0 for pair, p in g.compose.items() if g.compose.get(pair[::-1]) == p}
+    pairs = {}
+    for x, e in commuting:
+        pairs.setdefault(e, []).append((x, 0))
+    budget = _Budget(10**6)
+    found = list(iter_isomorphisms(g, g, budget, lambda: (pairs, commuting)))
+    assert (len(found), budget.used) == (automorphisms, nodes)
 
 
 def test_iso_budget_inconclusive_distinct_from_no():

@@ -268,6 +268,26 @@ def test_inverse_on_support_stars_n_once(r3, rng, monkeypatch):
     assert counts[0] == 1
 
 
+def test_star_square_formed_once_per_element(r3, rng, monkeypatch):
+    """The support cut, the witnesses, the interpolant and the approximation
+    share the one n*n kept on n."""
+    products = []
+    convolve = algebra.convolve
+
+    def counting(a, b):
+        products.append((a, b))
+        return convolve(a, b)
+
+    n = random_monomial(r3, rng)
+    m = r3.element({g: n.coeff(g) for g in n.support()[:1]})
+    monkeypatch.setattr(algebra, "convolve", counting)
+    predomain_interpolant([m, 0.5 * m], n)
+    ball_witness(m, n)
+    relations._on_support(n, lambda x: x)
+    dominated_approximation(n, 5)
+    assert sum(a is n.star() and b is n for a, b in products) == 1
+
+
 def test_ball_witness_unit_case(r2):
     du = r2.delta("(1,1)")
     t = ball_witness(du, du)
