@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -151,11 +153,73 @@ SUITES = {
 SUITE_NAMES = (*SUITES, "all")
 
 
+def _run_suites(names: list[str], run) -> dict:
+    """{name: run(name)} over this process and forked children, one per usable CPU.
+
+    Each process claims the next suite by reading a byte from a shared pipe and
+    stops at its first failure; a child pickles {index: result or exception}
+    back and ends in os._exit.  Suites whose results did not come back run
+    here, and the first failure in order is raised, as in a serial loop.
+    """
+    # sched_getaffinity exists only where fork does; elsewhere every suite runs here.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    claims, feed = os.pipe()
+    os.write(feed, bytes(range(len(names))))
+    os.close(feed)
+    claimed = (byte[0] for byte in iter(lambda: os.read(claims, 1), b""))
+
+    def work(indices) -> dict:
+        done = {}
+        for i in indices:
+            try:
+                done[i] = run(names[i])
+            except Exception as exc:
+                done[i] = exc
+                break  # no later suite can change the outcome
+        return done
+
+    children, outcomes = [], {}
+    try:
+        for _ in range(min(len(names), cpus) - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the suites left run here
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                try:
+                    with os.fdopen(write_end, "wb") as out:
+                        pickle.dump(work(claimed), out)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        outcomes.update(work(claimed))
+        for _, inp in children:
+            try:
+                outcomes.update(pickle.loads(inp.read()))
+            except Exception:  # the child died; its suites run again below
+                pass
+    finally:
+        os.close(claims)
+        for pid, inp in children:
+            inp.close()
+            os.waitpid(pid, 0)
+    for i in range(len(names)):
+        if i not in outcomes:
+            outcomes.update(work([i]))
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+    return {name: outcomes[i] for i, name in enumerate(names)}
+
+
 def cmd_suite(path: str, config: RunConfig, suite: str) -> tuple[dict, int]:
     ctx = _load_context(path, config)
     spec = _resolve_spec(ctx, config)
     selected = list(SUITES) if suite == "all" else [suite]
-    results = {name: SUITES[name](ctx, config.seed, spec) for name in selected}
+    results = _run_suites(selected, lambda name: SUITES[name](ctx, config.seed, spec))
     passed = all(r["passed"] for r in results.values())
     return {"suites": results, "passed": passed}, EXIT_PASS if passed else EXIT_FAIL
 

@@ -15,3 +15,6 @@ class NotCartanError(InputError):
     def __init__(self, failures):
         self.failures = tuple(failures)
         super().__init__("semigroup is not Cartan: " + "; ".join(self.failures))
+
+    def __reduce__(self):  # args hold the message, so pickle rebuilds from the failures
+        return type(self), (self.failures,)

@@ -247,46 +247,51 @@ def dominated_approximation(n: AlgebraElement, k: int) -> ApproximationResult:
 # -- ball witnesses and predomain interpolation ------------------------------------
 
 
-def _positive_ball_witness(m: AlgebraElement, n: AlgebraElement) -> AlgebraElement:
-    """A witness s for m <_s n with ns, sn in the positive unit ball."""
-    w = dominates(m, n)
+def _ball_certificate(m, n, w: DominationWitness | None) -> DominationWitness:
+    """The checked certificate for m <_t n of ball_witness's t, built from w, a
+    certificate for m < n (formed here when None), reusing each step's products."""
+    w = w if w is not None else dominates(m, n)
     if w is None:
         raise InputError("ball witness requires domination to hold")
-    ctx = m.ctx
-    tol = ctx.zero_tol
+    tol = m.ctx.zero_tol
     s = w.s * (w.s.star() * n.star())
-    if not certify_domination(m, s, n).ok:
+    positive = certify_domination(m, s, n)
+    if not positive.ok:
         raise ConsistencyError("positivity step broke the domination certificate")
-    ns = n * s
-    s = s * diagonal_function(ns, lambda x: min(x, 1.0 / x) if x > tol else 0.0)
-    if not certify_domination(m, s, n).ok:
+    s = s * diagonal_function(positive.ns, lambda x: min(x, 1.0 / x) if x > tol else 0.0)
+    contracted = certify_domination(m, s, n)
+    if not contracted.ok:
         raise ConsistencyError("contraction step broke the domination certificate")
-    return s
+    r = 16.0 * max(cstar_norm(s), 1.0) ** 4 + 1.0
+    g_sn = diagonal_function(contracted.sn, lambda x: max(2 * x - 1, 0.0))
+    h_nn = _on_support(n, lambda x: min(1.0 / x, r * x))
+    certificate = certify_domination(m, g_sn * (h_nn * n.star()), n)
+    checks = _ball_checks(certificate)
+    if not checks["ok"]:
+        raise ConsistencyError(f"ball witness failed: {checks}")
+    return certificate
 
 
-def ball_witness(m: AlgebraElement, n: AlgebraElement) -> AlgebraElement:
+def ball_witness(m: AlgebraElement, n: AlgebraElement,
+                 witness: DominationWitness | None = None) -> AlgebraElement:
     """A witness t in n*B+ and B+n* with tn, nt positive contractions.
 
     Certifies: tm, mt diagonal; tn, nt diagonal positive of norm <= 1;
     ntm = m = mtn.  Built as t = g(sn) h(n*n) n* with g(x) = max(2x-1, 0)
-    and h(x) = min(1/x, rx) for r > 16 ||s||^4.
+    and h(x) = min(1/x, rx) for r > 16 ||s||^4, s a positive contractive witness
+    for m < n.  A `witness` for m < n that the caller holds is not formed again.
     """
-    s = _positive_ball_witness(m, n)
-    r = 16.0 * max(cstar_norm(s), 1.0) ** 4 + 1.0
-    g_sn = diagonal_function(s * n, lambda x: max(2 * x - 1, 0.0))
-    h_nn = _on_support(n, lambda x: min(1.0 / x, r * x))
-    t = g_sn * (h_nn * n.star())
-    checks = verify_ball_certificate(m, t, n)
-    if not checks["ok"]:
-        raise ConsistencyError(f"ball witness failed: {checks}")
-    return t
+    return _ball_certificate(m, n, witness).s
 
 
 def verify_ball_certificate(m: AlgebraElement, t: AlgebraElement, n: AlgebraElement) -> dict:
     """The five ball-domination conditions: the domination certificate for m <_t n,
     plus tn and nt positive and of norm at most 1."""
-    tol = m.ctx.zero_tol
-    w = certify_domination(m, t, n)
+    return _ball_checks(certify_domination(m, t, n))
+
+
+def _ball_checks(w: DominationWitness) -> dict:
+    tol = w.m.ctx.zero_tol
     tn, nt = w.sn, w.ns
     positive = all(
         all(c.real > -tol and abs(c.imag) < tol for c in x.coeffs.values()) for x in (tn, nt)
@@ -301,12 +306,13 @@ def verify_ball_certificate(m: AlgebraElement, t: AlgebraElement, n: AlgebraElem
     }
 
 
-def predomain_interpolant(ms, n: AlgebraElement) -> AlgebraElement:
+def predomain_interpolant(ms, n: AlgebraElement, witnesses=None) -> AlgebraElement:
     """An l in nB+ and B+n with every m_i <_{l*} l and l < n.
 
     Combines the per-element ball witnesses through a pointwise maximum of
     their diagonal left factors, then truncates n accordingly.  Every
-    certificate is re-checked before returning.
+    certificate is re-checked before returning.  `witnesses` for each
+    m_i < n, in the order of ms, are not formed again.
     """
     ms = list(ms)
     if not ms:
@@ -315,9 +321,8 @@ def predomain_interpolant(ms, n: AlgebraElement) -> AlgebraElement:
     tol = ctx.zero_tol
     inv_nn = _on_support(n, lambda x: 1.0 / x)
     beta = ctx.zero()
-    for m in ms:
-        t = ball_witness(m, n)
-        beta_m = (t * n) * inv_nn
+    for m, w in zip(ms, witnesses or [None] * len(ms)):
+        beta_m = _ball_certificate(m, n, w).sn * inv_nn
         merged = dict(beta.coeffs)
         for u, c in beta_m.coeffs.items():
             merged[u] = max(merged.get(u, 0j).real, c.real)

@@ -7,6 +7,8 @@ run these.  All sampling is seeded through named substreams.
 
 from __future__ import annotations
 
+from itertools import takewhile
+
 import numpy as np
 
 from .algebra import (
@@ -164,9 +166,10 @@ def relations_suite(ctx: TwistedAlgebra, seed: int = 42, pairs: int = 200,
     for _ in range(cases):
         n = random_monomial(ctx, rng)
         m = _random_restriction(n, rng, rescale=True)
-        if dominates(m, n) is None:
+        w = dominates(m, n)
+        if w is None:
             continue
-        ball_witness(m, n)
+        ball_witness(m, n, w)
         ball_count += 1
     # ball_witness raises ConsistencyError (exit 4) on a failed certificate.
     out["ball_witness_ok"] = True
@@ -179,9 +182,10 @@ def relations_suite(ctx: TwistedAlgebra, seed: int = 42, pairs: int = 200,
         if n.is_zero():
             continue
         family = [_random_restriction(n, rng, rescale=True) for _ in range(1 + i % 3)]
-        if any(dominates(m, n) is None for m in family):
+        witnesses = list(takewhile(bool, (dominates(m, n) for m in family)))
+        if len(witnesses) < len(family):
             continue
-        predomain_interpolant(family, n)
+        predomain_interpolant(family, n, witnesses)
         pre_count += 1
     # predomain_interpolant raises ConsistencyError (exit 4) on a failed certificate.
     out["predomain_ok"] = True

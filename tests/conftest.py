@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from twistalg import standard_contexts
@@ -32,3 +34,14 @@ def v4_pauli(contexts):
 @pytest.fixture
 def rng():
     return substream(42, "tests")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped: {left}")

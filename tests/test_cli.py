@@ -1,6 +1,8 @@
 import copy
 import functools
 import json
+import os
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -9,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistalg import FiniteGroupoid, standard_contexts
+from twistalg import cli
 from twistalg.cli import SUITE_NAMES, main
-from twistalg.errors import InputError
+from twistalg.errors import ConsistencyError, InputError, NotCartanError
 from twistalg.fileio import (
     context_to_dict,
     load_basis,
@@ -516,3 +519,110 @@ def test_huge_tolerance_ends_in_a_report(case, tol, capsys):
     capsys.readouterr()
     assert run(*HUGE_TOLERANCE_RUNS[case], "--tol", tol) in (0, 1, 2, 3, 4)
     assert json.loads(capsys.readouterr().out)["config"]["tolerance"] == float(tol)
+
+
+# -- `suite --suite all` spread over the usable CPUs ------------------------------------
+
+SUITE_ALL_RUNS = {
+    **{p.stem: ["suite", p, "--suite", "all"]
+       for p in sorted(FIXDIR.glob("*.json")) if not p.name.startswith("basis")},
+    "r2-basis": ["suite", FIXDIR / "r2.json", "--suite", "all",
+                 "--semigroup", f"basis:{FIXDIR / 'basis_r2_offdiag.json'}"],
+    "z4-tol-0.5": ["suite", FIXDIR / "z4.json", "--suite", "all", "--tol", 0.5],
+}
+
+
+def _run_on_cpus(monkeypatch, tmp_path, cpus, *argv):
+    """(exit code, report bytes, forks made) of one run that may use `cpus` CPUs."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    out = tmp_path / f"cpus{cpus}.json"
+    return run(*argv, "--out", out), out.read_bytes(), len(forks)
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_ALL_RUNS))
+def test_suite_all_reports_do_not_depend_on_the_cpu_count(case, monkeypatch, tmp_path):
+    code, report, forks = _run_on_cpus(monkeypatch, tmp_path, 1, *SUITE_ALL_RUNS[case])
+    assert forks == 0
+    assert _run_on_cpus(monkeypatch, tmp_path, 2, *SUITE_ALL_RUNS[case])[:2] == (code, report)
+
+
+def test_suite_all_at_a_coarse_tolerance_still_exits_4(monkeypatch, tmp_path):
+    code, report, forks = _run_on_cpus(monkeypatch, tmp_path, 6, *SUITE_ALL_RUNS["z4-tol-0.5"])
+    assert (code, forks) == (4, 5)
+    assert json.loads(report)["error"] == {
+        "kind": "consistency", "message": CONSISTENCY_MESSAGES["relations-tol-0.5"]}
+
+
+def test_one_suite_is_not_forked(monkeypatch, tmp_path):
+    code, _, forks = _run_on_cpus(monkeypatch, tmp_path, 6, "suite", FIXDIR / "z2.json",
+                                  "--suite", "norms")
+    assert (code, forks) == (0, 0)
+
+
+def _raises(exc):
+    def suite(*args):
+        raise exc
+    return suite
+
+
+# Two suites that raise, the earlier one in SUITES order first: the exit code and
+# error body that the earlier one gives.
+FAILING_PAIRS = {
+    "not-cartan": ({"relations": NotCartanError(["x", "y"]), "norms": ConsistencyError("later")},
+                   1, {"kind": "not-cartan", "failures": ["x", "y"]}),
+    "input": ({"states": InputError("first"), "masa": ConsistencyError("later")},
+              2, {"kind": "input", "message": "first"}),
+    "consistency": ({"masa": ConsistencyError("first"), "expectation": InputError("later")},
+                    4, {"kind": "consistency", "message": "first"}),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 6])
+@pytest.mark.parametrize("case", sorted(FAILING_PAIRS))
+def test_the_first_failing_suite_in_order_decides(case, cpus, monkeypatch, tmp_path):
+    failures, code, error = FAILING_PAIRS[case]
+    for name, exc in failures.items():
+        monkeypatch.setitem(cli.SUITES, name, _raises(exc))
+    got, report, _ = _run_on_cpus(monkeypatch, tmp_path, cpus, "suite", FIXDIR / "z2.json",
+                                  "--suite", "all")
+    assert (got, json.loads(report)["error"]) == (code, error)
+
+
+def test_a_child_that_dies_leaves_the_report_whole(monkeypatch, tmp_path):
+    argv = ("suite", FIXDIR / "r2.json", "--suite", "all")
+    serial = _run_on_cpus(monkeypatch, tmp_path, 1, *argv)[:2]
+    parent, deaths = os.getpid(), tmp_path / "deaths"
+    for name, suite in list(cli.SUITES.items()):
+        def dying(*args, suite=suite, name=name):
+            if os.getpid() != parent:
+                with deaths.open("a") as f:
+                    f.write(name + "\n")
+                os._exit(1)
+            return suite(*args)
+        monkeypatch.setitem(cli.SUITES, name, dying)
+    assert _run_on_cpus(monkeypatch, tmp_path, 6, *argv)[:2] == serial
+    assert deaths.read_text()  # some child did die, and its suites ran here again
+
+
+def test_a_failed_fork_runs_the_suites_here(monkeypatch, tmp_path):
+    argv = ("suite", FIXDIR / "z3.json", "--suite", "all")
+    serial = _run_on_cpus(monkeypatch, tmp_path, 1, *argv)[:2]
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "no_fork.json"
+    assert (run(*argv, "--out", out), out.read_bytes()) == serial
+
+
+@pytest.mark.parametrize("exc", [InputError("bad file"), ConsistencyError("routes disagree"),
+                                 NotCartanError(["a", "b"])], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert (str(back), back.args) == (str(exc), exc.args)
+    assert getattr(back, "failures", None) == getattr(exc, "failures", None)

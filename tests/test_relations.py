@@ -336,6 +336,31 @@ def test_ball_certificate_reuses_the_domination_products(r2, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_ball_steps_form_no_product_twice(r3, rng, monkeypatch):
+    """Given the witness for m < n, ball_witness and predomain_interpolant reuse the
+    products their certificates formed: no two operands are multiplied twice in a call."""
+    convolve, count = algebra.convolve, 0
+    while count < 10:
+        n = random_monomial(r3, rng)
+        if n.is_zero():
+            continue
+        m = r3.element({g: n.coeff(g) for g in n.support()[:1]})
+        w = dominates(m, n)
+        for call in (lambda: ball_witness(m, n, w), lambda: predomain_interpolant([m], n, [w])):
+            operands = []
+
+            def recording(a, b):
+                operands.append((a, b))
+                return convolve(a, b)
+
+            monkeypatch.setattr(algebra, "convolve", recording)
+            call()
+            monkeypatch.setattr(algebra, "convolve", convolve)
+            pairs = [(id(a), id(b)) for a, b in operands]
+            assert len(pairs) == len(set(pairs))
+        count += 1
+
+
 def test_domination_certificate_forms_each_product_once(r3, rng, monkeypatch):
     """Six convolutions per certificate, and the residual of the products
     formed afresh."""
@@ -517,10 +542,11 @@ def test_restriction_vs_domination_property(values, keep_second, rescale):
 
 
 def test_relations_suite_certifies_each_ball_witness_once(monkeypatch, r2):
-    """ball_witness runs verify_ball_certificate itself; the suite does not run it again."""
+    """Each ball witness's certificate is formed and checked once, inside ball_witness or
+    predomain_interpolant; the suite does not check it again."""
     from twistalg import relations, suites
 
-    counts = {"ball_witness": 0, "verify_ball_certificate": 0}
+    counts = {"_ball_certificate": 0, "_ball_checks": 0, "verify_ball_certificate": 0}
     for name in counts:
         original = getattr(relations, name)
 
@@ -531,5 +557,29 @@ def test_relations_suite_certifies_each_ball_witness_once(monkeypatch, r2):
         for module in (relations, suites):
             monkeypatch.setattr(module, name, counting, raising=False)
     assert relations_suite(r2, pairs=10, cases=20)["passed"]
-    assert counts["ball_witness"] > 0
-    assert counts["verify_ball_certificate"] == counts["ball_witness"]
+    assert counts["_ball_certificate"] > 0
+    assert counts["_ball_checks"] == counts["_ball_certificate"]
+    assert counts["verify_ball_certificate"] == 0
+
+
+def test_relations_suite_certifies_each_pair_once(monkeypatch, r3):
+    """The suite hands the witness it holds to ball_witness and predomain_interpolant,
+    so no (m, n) pair reaches dominates twice."""
+    from twistalg import relations, suites
+
+    seen, held, repeats = set(), [], []
+    original = relations.dominates
+
+    def once(m, n):
+        key = (id(m), id(n))
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        held.append((m, n))  # keeps the ids from being reused
+        return original(m, n)
+
+    for module in (relations, suites):
+        monkeypatch.setattr(module, "dominates", once)
+    out = relations_suite(r3, seed=5, pairs=20, cases=40)
+    assert out["passed"] and out["ball_witness_cases"] > 0 and out["predomain_cases"] > 0
+    assert repeats == []
