@@ -441,34 +441,6 @@ def product_coeff(a: AlgebraElement, b: AlgebraElement, g: str) -> complex:
     return acc
 
 
-def pairwise_diagonal(lefts, rights) -> np.ndarray:
-    """The boolean matrix D[i, j] = is_diagonal(lefts[i] * rights[j]).
-
-    One matrix product (L[:, hs] * sigma) @ R[:, ks].T per non-unit point g, over
-    the composable pairs (h, k) with hk = g, a few dozen rows at a time.  Its sums
-    run in another order than convolve's; when each coefficient gets at most one
-    nonzero term, as for two bisections, the verdicts are equal.
-    """
-    out = np.ones((len(lefts), len(rights)), dtype=bool)
-    if not lefts or not rights:
-        return out
-    ctx = lefts[0].ctx
-    for x in (*lefts, *rights):
-        x._same_context(lefts[0])
-    gpd, terms = ctx.groupoid, {}
-    for h, row in ctx._product.items():
-        for k, (hk, sigma) in row.items():
-            if not gpd.is_unit(hk):
-                terms.setdefault(hk, []).append((gpd.index(h), gpd.index(k), sigma))
-    left = np.array([a.vector() for a in lefts])
-    right = np.array([b.vector() for b in rights])
-    for hs, ks, sigma in (map(np.array, zip(*t)) for t in terms.values()):
-        r = right[:, ks].T
-        for i in range(0, len(lefts), 32):
-            out[i:i + 32] &= np.abs((left[i:i + 32, hs] * sigma) @ r) <= ctx.zero_tol
-    return out
-
-
 def involution(a: AlgebraElement) -> AlgebraElement:
     """a*(g) = conj(sigma(g, g^-1)) conj(a(g^-1)); involutive, (ab)* = b*a*."""
     star = a.ctx._star

@@ -278,6 +278,9 @@ def main(argv=None) -> int:
     if not (math.isfinite(config.tolerance) and config.tolerance > 0):
         sys.stderr.write("tolerance must be a finite positive number\n")
         return EXIT_INPUT
+    if config.iso_budget < 0:
+        sys.stderr.write("iso budget must not be negative\n")
+        return EXIT_INPUT
     if args.command == "suite" and args.suite not in SUITE_NAMES:
         sys.stderr.write(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}\n")
         return EXIT_INPUT

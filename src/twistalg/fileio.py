@@ -62,7 +62,9 @@ def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
         g, h = _split_pair(key)
         try:
             p, q = entry["turns"]
-            phase = Phase(Fraction(int(p), int(q)) % 1)
+            if type(p) is not int or type(q) is not int:  # bool is an int subclass
+                raise TypeError(f"turns must be two integers, not {[p, q]!r}")
+            phase = Phase(Fraction(p, q) % 1)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad cocycle entry for {key!r}: {exc}") from exc
         values[(g, h)] = phase

@@ -527,12 +527,13 @@ def hat_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
     for _ in range(samples):
         a = random_element(ctx, rng)
         b = random_element(ctx, rng)
-        roundtrip = max(roundtrip, max_coeff_diff(hat(a), a))
+        ha, hb = hat(a), hat(b)
+        roundtrip = max(roundtrip, max_coeff_diff(ha, a))
         z = complex(rng.normal(), rng.normal())
-        linear = max(linear, max_coeff_diff(hat(z * a + b), z * hat(a) + hat(b)))
-        multiplicative = max(multiplicative, max_coeff_diff(hat(a * b), hat(a) * hat(b)))
-        involutive = max(involutive, max_coeff_diff(hat(a.star()), hat(a).star()))
-        expectation = max(expectation, max_coeff_diff(diagonal(hat(a)), hat(diagonal(a))))
+        linear = max(linear, max_coeff_diff(hat(z * a + b), z * ha + hb))
+        multiplicative = max(multiplicative, max_coeff_diff(hat(a * b), ha * hb))
+        involutive = max(involutive, max_coeff_diff(hat(a.star()), ha.star()))
+        expectation = max(expectation, max_coeff_diff(diagonal(ha), hat(diagonal(a))))
         n = random_monomial(ctx, rng)
         support_ok = support_ok and set(hat(n).support()) == set(n.support())
     worst = max(roundtrip, linear, multiplicative, involutive, expectation)

@@ -194,7 +194,7 @@ def interpolate(m: AlgebraElement, n: AlgebraElement, w: DominationWitness) -> A
         raise InputError("witness does not match the given pair")
     if not w.ok:
         raise InputError("invalid domination witness")
-    sn = w.s * n
+    sn = w.sn if w.n is n else w.s * n
     g_of_sn = diagonal_function(sn, lambda x: 1.0 if x > tol else 0.0)
     l = n * g_of_sn
     first = certify_domination(m, w.s, l)

@@ -26,7 +26,6 @@ from twistalg.algebra import (
     involution,
     is_diagonal,
     max_coeff_diff,
-    pairwise_diagonal,
     product_coeff,
     standard_contexts,
 )
@@ -40,7 +39,14 @@ from twistalg.groupoid import (
 )
 from twistalg.reconstruction import hat, source_state, ultrafilter_at
 from twistalg.seeds import substream
-from twistalg.semigroups import SemigroupSpec, _bisection_pattern_pairs, random_element
+from twistalg.semigroups import (
+    SemigroupSpec,
+    _bisection_pattern_pairs,
+    _sweep_compatibility,
+    check_cartan,
+    compatible,
+    random_element,
+)
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -576,7 +582,6 @@ def test_kernel_never_takes_exact_phases(monkeypatch, rng):
     for a, b in pairs:
         convolve(a, b)
         product_coeff(a, b, a.ctx.groupoid.elements[-1])
-        pairwise_diagonal([a], [b])
         involution(a)
         a.support()
         regular_representation(a)
@@ -607,46 +612,24 @@ def _kernel_contexts():
     b = {g: Fraction(i, 8 if i % 2 else 100) for i, g in enumerate(z6.elements) if i}
     yield from standard_contexts().values()
     yield TwistedAlgebra(z6, _coboundary(z6, b), name="Z6_cob")
+    yield R3_DISJ_Z2
     yield from _scaling_contexts()
 
 
 @pytest.mark.parametrize("ctx", list(_kernel_contexts()), ids=lambda c: c.name)
-def test_pairwise_diagonal_matches_is_diagonal_on_the_sweep(ctx):
-    """The batched verdict of every (pattern*, pattern) and (pattern, pattern*)
-    pair of the Cartan sweep equals is_diagonal of the convolution."""
+def test_support_rule_matches_compatible_on_the_sweep(ctx):
+    """The Cartan sweep's compatibility, read off the supports, equals the
+    algebraic compatible(m, n) on every ordered pair, the diagonal included."""
     sweep = _bisection_pattern_pairs(ctx, SemigroupSpec.monomial(ctx))
-    stars = [m.star() for m in sweep]
-    for lefts, rights in ((stars, sweep), (sweep, stars)):
-        batched = pairwise_diagonal(lefts, rights)
-        assert batched.shape == (len(lefts), len(rights))
-        expect = [[is_diagonal(a * b) for b in rights] for a in lefts]
-        assert np.array_equal(batched, np.array(expect, dtype=bool)), ctx.name
+    expect = np.array([[compatible(m, n) for n in sweep] for m in sweep], dtype=bool)
+    assert np.array_equal(_sweep_compatibility(ctx, sweep), expect), ctx.name
 
 
-# Unit-modulus coefficients, so that twisted terms cancel exactly and the cocycle decides.
-_UNIT_OR_ZERO = st.sampled_from((None, 0j, 1 + 0j, -1 + 0j, 1j, -1j))
-
-
-@given(st.sampled_from(_CONTEXT_NAMES), st.data())
-@settings(max_examples=80, deadline=None)
-def test_pairwise_diagonal_matches_is_diagonal_on_drawn_elements(contexts, name, data):
-    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
-    lefts = [_draw_element(data, ctx, _UNIT_OR_ZERO) for _ in range(data.draw(st.integers(1, 4)))]
-    rights = [_draw_element(data, ctx, _UNIT_OR_ZERO) for _ in range(data.draw(st.integers(1, 4)))]
-    expect = [[is_diagonal(a * b) for b in rights] for a in lefts]
-    assert np.array_equal(pairwise_diagonal(lefts, rights), np.array(expect, dtype=bool))
-
-
-def test_pairwise_diagonal_edge_cases(contexts, r2, r3):
-    # (d01 + d10)^2 has the coefficient sigma(01, 10) + sigma(10, 01) at 11: zero
-    # under the Pauli cocycle, 2 without it.
-    for name, diag in (("V4_pauli", True), ("V4", False)):
-        a = contexts[name].delta("01") + contexts[name].delta("10")
-        assert pairwise_diagonal([a], [a]).tolist() == [[diag]] == [[is_diagonal(a * a)]]
-    assert pairwise_diagonal([], [r2.one()]).shape == (0, 1)
-    assert pairwise_diagonal([r2.one()], []).shape == (1, 0)
-    with pytest.raises(InputError):
-        pairwise_diagonal([r2.one()], [r3.one()])
+def test_empty_sweep(rng):
+    ctx = TwistedAlgebra(FiniteGroupoid("empty", [], [], {}, {}, {}, {}))
+    assert _sweep_compatibility(ctx, []).shape == (0, 0)
+    report = check_cartan(SemigroupSpec.monomial(ctx), rng)
+    assert report.summable and report.summable_witness is None
 
 
 @pytest.mark.parametrize("tol", [1.0, 3.0, 1e200])

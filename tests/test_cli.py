@@ -256,6 +256,11 @@ def test_tolerance_must_be_positive():
     assert run("validate", FIXDIR / "r2.json", "--tol", 0) == 2
 
 
+def test_integer_turns_and_a_zero_budget_are_accepted(tmp_path):
+    assert run("validate", _z2_with_turns(tmp_path, [1, 2])) == 0
+    assert run("reconstruct", FIXDIR / "z2.json", "--iso-budget", 0) == 3  # out of budget
+
+
 # -- the exit-code contract: 0 pass, 1 fail with witness, 2 input error, 3 inconclusive --
 
 EMPTY_GROUPOID = {"elements": [], "units": [], "source": {}, "range": {}, "inverse": {},
@@ -299,6 +304,18 @@ def _recovered_cocycle_as_list(text):
     doc = json.loads(text)
     doc["reconstruction"]["recovered_cocycle"] = [["p1|p1", {"turns": [1, 2]}]]
     return json.dumps(doc)
+
+
+def _z2_with_turns(tmp_path, turns):
+    return _with_table(tmp_path, "cocycle", {"1|1": {"turns": turns}})
+
+
+def _recovered_turns(turns):
+    def mutate(text):
+        doc = json.loads(text)
+        doc["reconstruction"]["recovered_cocycle"] = {"p1|p1": {"turns": turns}}
+        return json.dumps(doc)
+    return mutate
 
 
 def _set_p1p1(value):
@@ -354,7 +371,21 @@ CONTRACT_CASES = {
     "tol-inf": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "inf"], None),
     "tol-not-a-number": (lambda t: ["validate", FIXDIR / "r2.json", "--tol", "abc"], None),
     "unknown-command": (lambda t: ["bogus", FIXDIR / "r2.json"], None),
+    "reconstruct-iso-budget-negative": (
+        lambda t: ["reconstruct", FIXDIR / "z4.json", "--iso-budget", -3], None),
+    "compare-iso-budget-negative": (
+        lambda t: ["compare", *[_report(t, lambda text: text)] * 2, "--iso-budget", -1], None),
 }
+# Each number of "turns" must be an integer: [1, 2] is read as 1/2 turn, these are refused.
+_BAD_TURNS = {"float-p": [1.5, 2], "float-q": [1, 2.9], "strings": ["1", "2"], "bool": [True, 2]}
+for _label, _turns in _BAD_TURNS.items():
+    CONTRACT_CASES.update({
+        f"validate-turns-{_label}": (lambda t, x=_turns: ["validate", _z2_with_turns(t, x)], "input"),
+        f"reconstruct-turns-{_label}": (
+            lambda t, x=_turns: ["reconstruct", _z2_with_turns(t, x)], "input"),
+        f"compare-turns-{_label}": (
+            lambda t, x=_turns: ["compare", *[_report(t, _recovered_turns(x))] * 2], "input"),
+    })
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

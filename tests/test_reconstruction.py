@@ -450,6 +450,19 @@ def test_hat_examples(r2, r3, rng):
         assert max_coeff_diff(hat(a), a) < 1e-9
 
 
+def test_hat_report_forms_each_hat_once_per_sample(r3, rng, monkeypatch):
+    """hat(a) and hat(b) once each, then the hats of z a + b, ab, a*, E(a) and a monomial."""
+    calls, original = [], reconstruction.hat
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(reconstruction, "hat", counting)
+    assert reconstruction.hat_report(r3, rng, samples=3)["passed"]
+    assert len(calls) == 7 * 3
+
+
 def test_second_hat_forms_no_product(monkeypatch, rng):
     """The point frame (delta_g^*, source and range point per g) is built once
     per context, by the first hat or source_state.  After it, finding a point,

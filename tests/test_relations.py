@@ -132,6 +132,28 @@ def test_interpolate_refuses_a_foreign_witness(r2):
         interpolate(m, n, dominates(r2.delta("(2,2)"), n))
 
 
+def test_interpolate_reads_the_witness_product(r3, monkeypatch):
+    """With the witness's own n, s*n comes off the witness; a copy of n that only
+    matches within tolerance gets the product formed, and the same interpolant."""
+    n = r3.delta("(1,2)") + 2 * r3.delta("(2,3)")
+    m = r3.element({"(1,2)": n.coeff("(1,2)")})
+    w = dominates(m, n)
+    copy = r3.element(dict(n.coeffs))
+    convolve, operands = algebra.convolve, []
+
+    def recording(a, b):
+        operands.append((a, b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(algebra, "convolve", recording)
+    own = interpolate(m, n, w)
+    formed = len(operands)
+    assert not any(a is w.s and b is n for a, b in operands)
+    assert interpolate(m, copy, w).coeffs == own.coeffs
+    assert any(a is w.s and b is copy for a, b in operands[formed:])
+    assert len(operands) - formed == formed + 1
+
+
 def test_interpolation_chain_certified(r3, rng):
     for _ in range(30):
         n = random_monomial(r3, rng)

@@ -10,9 +10,10 @@ from twistalg import (
     compatible,
     csum_closure,
     membership,
+    semigroups,
 )
 from twistalg.algebra import diagonal_function, is_diagonal, is_positive, max_coeff_diff
-from twistalg.errors import InputError
+from twistalg.errors import ConsistencyError, InputError
 from twistalg.seeds import substream
 from twistalg.semigroups import (
     _bisection_pattern_pairs,
@@ -106,6 +107,15 @@ def test_summable_witness_matches_the_pairwise_sweep(contexts, name):
     oracle = first_unsummable(spec, itertools.combinations(sweep, 2))
     assert oracle is not None
     assert check_cartan(spec, substream(8, "sweep", name)).summable_witness == oracle
+
+
+def test_sweep_witness_is_rechecked_algebraically(r2, monkeypatch):
+    """A sweep pair that the support rule calls compatible and the algebra does
+    not is a ConsistencyError, not a summability witness."""
+    monkeypatch.setattr(semigroups, "_sweep_compatibility",
+                        lambda ctx, sweep: np.ones((len(sweep), len(sweep)), dtype=bool))
+    with pytest.raises(ConsistencyError, match="support rule and algebraic"):
+        check_cartan(SemigroupSpec.monomial(r2), substream(8, "recheck"))
 
 
 def test_explicit_spec_fails_dense_span(r2):
