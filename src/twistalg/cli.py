@@ -105,7 +105,7 @@ def cmd_validate(path: str, config: RunConfig) -> tuple[dict, int]:
 def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
     ctx = _load_context(path, config)
     report = reconstruct(ctx, _resolve_spec(ctx, config), seed=config.seed,
-                         iso_budget=config.iso_budget)
+                         iso_budget=config.iso_budget, run=_fan_out)
     if report.isomorphism["status"] == "inconclusive":
         code = EXIT_INCONCLUSIVE
     else:
@@ -153,15 +153,15 @@ SUITES = {
 SUITE_NAMES = (*SUITES, "all")
 
 
-def _run_suites(names: list[str], run) -> dict:
-    """{name: run(name)} over this process and forked children, one per usable CPU.
+def _fan_out(names: list[str], call) -> dict:
+    """{name: call(name)} over this process and forked children, one per usable CPU.
 
-    Each process claims the next suite by reading a byte from a shared pipe and
+    Each process claims the next name by reading a byte from a shared pipe and
     stops at its first failure; a child pickles {index: result or exception}
-    back and ends in os._exit.  Suites whose results did not come back run
+    back and ends in os._exit.  Names whose results did not come back run
     here, and the first failure in order is raised, as in a serial loop.
     """
-    # sched_getaffinity exists only where fork does; elsewhere every suite runs here.
+    # sched_getaffinity exists only where fork does; elsewhere every name runs here.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     claims, feed = os.pipe()
     os.write(feed, bytes(range(len(names))))
@@ -172,10 +172,10 @@ def _run_suites(names: list[str], run) -> dict:
         done = {}
         for i in indices:
             try:
-                done[i] = run(names[i])
+                done[i] = call(names[i])
             except Exception as exc:
                 done[i] = exc
-                break  # no later suite can change the outcome
+                break  # no later name can change the outcome
         return done
 
     children, outcomes = [], {}
@@ -184,7 +184,7 @@ def _run_suites(names: list[str], run) -> dict:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the suites left run here
+            except OSError:  # no process to spare: the names left run here
                 os.close(read_end)
                 os.close(write_end)
                 break
@@ -200,7 +200,7 @@ def _run_suites(names: list[str], run) -> dict:
         for _, inp in children:
             try:
                 outcomes.update(pickle.loads(inp.read()))
-            except Exception:  # the child died; its suites run again below
+            except Exception:  # the child died; its names run again below
                 pass
     finally:
         os.close(claims)
@@ -219,7 +219,7 @@ def cmd_suite(path: str, config: RunConfig, suite: str) -> tuple[dict, int]:
     ctx = _load_context(path, config)
     spec = _resolve_spec(ctx, config)
     selected = list(SUITES) if suite == "all" else [suite]
-    results = _run_suites(selected, lambda name: SUITES[name](ctx, config.seed, spec))
+    results = _fan_out(selected, lambda name: SUITES[name](ctx, config.seed, spec))
     passed = all(r["passed"] for r in results.values())
     return {"suites": results, "passed": passed}, EXIT_PASS if passed else EXIT_FAIL
 

@@ -626,66 +626,80 @@ class ReconstructionReport:
 
 
 def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
-                seed: int = 42, iso_budget: int = 10**6) -> ReconstructionReport:
+                seed: int = 42, iso_budget: int = 10**6, run=None) -> ReconstructionReport:
     """Round-trip reconstruction of the groupoid and twist from a Cartan spec.
 
-    Refuses non-Cartan specs, rebuilds the groupoid from ultrafilters,
-    searches for an isomorphism with the original, recovers the cocycle,
-    and runs the ultrafilter, state, twist and hat suites.  The report's
+    Refuses non-Cartan specs, then runs the independent stages in report order:
+    rebuild the groupoid from ultrafilters and search for an isomorphism with
+    the original, recover the cocycle, run the eight theorem reports and check
+    the summable image.  Each stage draws only from its own substream, so
+    `run(names, call) -> {name: call(name)}` may run them in any order or
+    process; by default they run here, one after another.  The report's
     tolerance is the context's zero tolerance.
     """
     spec = spec if spec is not None else SemigroupSpec.monomial(ctx)
-    rng = substream(seed, "reconstruct", ctx.name, spec.kind)
     cartan = check_cartan(spec, substream(seed, "reconstruct-cartan", ctx.name, spec.kind))
     if not cartan.cartan:
         raise NotCartanError(cartan.failures())
 
-    rebuilt, label = rebuild_groupoid(ctx, spec)
-    rebuilt_axioms = validate_groupoid(rebuilt)
-    iso = groupoids_isomorphic(ctx.groupoid, rebuilt, iso_budget)
+    def rng(stream):
+        return substream(seed, stream, ctx.name)
 
-    recovered, residual = recover_cocycle(ctx)
+    def rebuild():
+        rebuilt, label = rebuild_groupoid(ctx, spec)
+        axioms = validate_groupoid(rebuilt)
+        iso = groupoids_isomorphic(ctx.groupoid, rebuilt, iso_budget)
+        return (rebuilt.to_dict(), label, iso.to_dict(),
+                {"passed": axioms.ok, "violations": [v.to_dict() for v in axioms.violations]})
+
+    def summable_image():
+        # The image of the csum closure under the hat map must be exactly the
+        # monomial semigroup, extensionally on samples.
+        closed = csum_closure(spec)
+        monomial = SemigroupSpec.monomial(ctx)
+        sweep_rng = rng("summable-image")
+        agree = True
+        candidates = sample_members(monomial, sweep_rng, 30)
+        candidates += [random_element(ctx, sweep_rng) for _ in range(30)]
+        for cand in candidates:
+            agree = agree and (membership(closed, cand) == membership(monomial, hat(cand)))
+        return {"checked": True, "passed": agree}
+
+    # Each stage looks its function up by name when it runs.
+    stages = {
+        "rebuild": rebuild,
+        "recover_cocycle": lambda: recover_cocycle(ctx),
+        "product_criterion": lambda: product_criterion_report(ctx, rng("thm-product")),
+        "unit_space": lambda: unit_space_report(ctx, rng("thm-units")),
+        "ultra_primeness": lambda: ultra_primeness_report(ctx, rng("thm-prime")),
+        "domination_vs_inclusion": lambda: domination_inclusion_report(ctx, rng("thm-dom")),
+        "filter_axioms": lambda: filter_axiom_report(ctx, rng("thm-filter")),
+        "states_and_angles": lambda: states_report(ctx, rng("thm-states")),
+        "twist_points": lambda: twist_report(ctx, rng("thm-twist")),
+        "hat_map": lambda: hat_report(ctx, rng("thm-hat")),
+        "summable_image": summable_image,
+    }
+    out = (run(list(stages), lambda name: stages[name]()) if run is not None
+           else {name: stage() for name, stage in stages.items()})
+    rebuilt, label, iso, rebuilt_axioms = out.pop("rebuild")
+    recovered, residual = out.pop("recover_cocycle")
+    summable = out.pop("summable_image")
     rebuilt_cocycle = {
         f"{label[g]}|{label[h]}": {"turns": [p.turns.numerator, p.turns.denominator]}
         for (g, h), p in sorted(recovered.values.items())
     }
-
-    theorems = {
-        "rebuilt_groupoid_axioms": {
-            "passed": rebuilt_axioms.ok,
-            "violations": [v.to_dict() for v in rebuilt_axioms.violations],
-        },
-        "product_criterion": product_criterion_report(ctx, substream(seed, "thm-product", ctx.name)),
-        "unit_space": unit_space_report(ctx, substream(seed, "thm-units", ctx.name)),
-        "ultra_primeness": ultra_primeness_report(ctx, substream(seed, "thm-prime", ctx.name)),
-        "domination_vs_inclusion": domination_inclusion_report(ctx, substream(seed, "thm-dom", ctx.name)),
-        "filter_axioms": filter_axiom_report(ctx, substream(seed, "thm-filter", ctx.name)),
-        "states_and_angles": states_report(ctx, substream(seed, "thm-states", ctx.name)),
-        "twist_points": twist_report(ctx, substream(seed, "thm-twist", ctx.name)),
-        "hat_map": hat_report(ctx, substream(seed, "thm-hat", ctx.name)),
-    }
-
-    # The image of the csum closure under the hat map must be exactly the
-    # monomial semigroup, extensionally on samples.
-    closed = csum_closure(spec)
-    monomial = SemigroupSpec.monomial(ctx)
-    sweep_rng = substream(seed, "summable-image", ctx.name)
-    agree = True
-    candidates = sample_members(monomial, sweep_rng, 30)
-    candidates += [random_element(ctx, sweep_rng) for _ in range(30)]
-    for cand in candidates:
-        agree = agree and (membership(closed, cand) == membership(monomial, hat(cand)))
-    summable = {"checked": True, "passed": agree}
+    # The stages left are the theorem reports; they go in in report order.
+    theorems = {"rebuilt_groupoid_axioms": rebuilt_axioms, **{n: out[n] for n in stages if n in out}}
 
     return ReconstructionReport(
         context=ctx.name,
         seed=seed,
         tolerance=ctx.zero_tol,
         cartan=cartan.to_dict(),
-        isomorphism=iso.to_dict(),
+        isomorphism=iso,
         cocycle_residual=residual,
         recovered_cocycle=rebuilt_cocycle,
-        rebuilt_groupoid=rebuilt.to_dict(),
+        rebuilt_groupoid=rebuilt,
         theorems=theorems,
         summable_image=summable,
     )

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistalg import FiniteGroupoid, standard_contexts
-from twistalg import cli
+from twistalg import cli, reconstruction
 from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import ConsistencyError, InputError, NotCartanError
 from twistalg.fileio import (
@@ -552,7 +552,7 @@ def test_huge_tolerance_ends_in_a_report(case, tol, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["tolerance"] == float(tol)
 
 
-# -- `suite --suite all` spread over the usable CPUs ------------------------------------
+# -- `suite --suite all` and `reconstruct` spread over the usable CPUs -----------------
 
 SUITE_ALL_RUNS = {
     **{p.stem: ["suite", p, "--suite", "all"]
@@ -561,22 +561,49 @@ SUITE_ALL_RUNS = {
                  "--semigroup", f"basis:{FIXDIR / 'basis_r2_offdiag.json'}"],
     "z4-tol-0.5": ["suite", FIXDIR / "z4.json", "--suite", "all", "--tol", 0.5],
 }
+# reconstruct runs, and the exit code of each that does not pass.
+RECONSTRUCT_RUNS = {
+    **{f"reconstruct-{p.stem}": ["reconstruct", p]
+       for p in sorted(FIXDIR.glob("*.json")) if not p.name.startswith("basis")},
+    "reconstruct-r2-basis": ["reconstruct", FIXDIR / "r2.json",
+                             "--semigroup", f"basis:{FIXDIR / 'basis_r2_offdiag.json'}"],
+    "reconstruct-z4-tol-0.5": ["reconstruct", FIXDIR / "z4.json", "--tol", 0.5],
+    "reconstruct-v4_pauli-tol-1e-300": ["reconstruct", FIXDIR / "v4_pauli.json", "--tol", "1e-300"],
+    "reconstruct-r4-tol-0.9": ["reconstruct", FIXDIR / "r4.json", "--tol", 0.9],
+    "reconstruct-r2-budget-0": ["reconstruct", FIXDIR / "r2.json", "--iso-budget", 0],
+}
+RECONSTRUCT_CODES = {"reconstruct-z4-tol-0.5": 4, "reconstruct-v4_pauli-tol-1e-300": 4,
+                     "reconstruct-r4-tol-0.9": 4, "reconstruct-r2-budget-0": 3}
+# The functions that reconstruct's stages look up in twistalg.reconstruction, in
+# report order: the first one each stage calls.
+STAGE_FUNCTIONS = ("rebuild_groupoid", "recover_cocycle", "product_criterion_report",
+                   "unit_space_report", "ultra_primeness_report", "domination_inclusion_report",
+                   "filter_axiom_report", "states_report", "twist_report", "hat_report",
+                   "csum_closure")
+
+
+def _count_forks(monkeypatch, cpus):
+    """Let the process see `cpus` usable CPUs; the list that each fork appends to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 def _run_on_cpus(monkeypatch, tmp_path, cpus, *argv):
     """(exit code, report bytes, forks made) of one run that may use `cpus` CPUs."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = _count_forks(monkeypatch, cpus)
     out = tmp_path / f"cpus{cpus}.json"
     return run(*argv, "--out", out), out.read_bytes(), len(forks)
 
 
-@pytest.mark.parametrize("case", sorted(SUITE_ALL_RUNS))
-def test_suite_all_reports_do_not_depend_on_the_cpu_count(case, monkeypatch, tmp_path):
-    code, report, forks = _run_on_cpus(monkeypatch, tmp_path, 1, *SUITE_ALL_RUNS[case])
+@pytest.mark.parametrize("case", sorted(SUITE_ALL_RUNS.keys() | RECONSTRUCT_RUNS.keys()))
+def test_reports_do_not_depend_on_the_cpu_count(case, monkeypatch, tmp_path):
+    argv = SUITE_ALL_RUNS.get(case) or RECONSTRUCT_RUNS[case]
+    code, report, forks = _run_on_cpus(monkeypatch, tmp_path, 1, *argv)
     assert forks == 0
-    assert _run_on_cpus(monkeypatch, tmp_path, 2, *SUITE_ALL_RUNS[case])[:2] == (code, report)
+    assert code == RECONSTRUCT_CODES.get(case, code)
+    assert _run_on_cpus(monkeypatch, tmp_path, 2, *argv) == (code, report, 1)
 
 
 def test_suite_all_at_a_coarse_tolerance_still_exits_4(monkeypatch, tmp_path):
@@ -592,53 +619,95 @@ def test_one_suite_is_not_forked(monkeypatch, tmp_path):
     assert (code, forks) == (0, 0)
 
 
+def test_library_reconstruct_forks_nothing(monkeypatch):
+    forks = _count_forks(monkeypatch, 6)
+    ctx = standard_contexts()["R2"]
+    assert reconstruction.reconstruct(ctx, seed=3).passed
+    assert forks == []
+
+
+def test_a_non_cartan_spec_fails_before_any_fork(monkeypatch, tmp_path):
+    units = ["(1,1)", "(2,2)"]
+    basis = _write_json(tmp_path / "diag.json", {"bisections": [[], units, units[:1], units[1:]]})
+    code, report, forks = _run_on_cpus(monkeypatch, tmp_path, 6, "reconstruct",
+                                       FIXDIR / "r2.json", "--semigroup", f"basis:{basis}")
+    assert (code, forks) == (1, 0)
+    assert json.loads(report)["error"] == {"kind": "not-cartan",
+                                           "failures": ["dense span (dimension 2)"]}
+
+
 def _raises(exc):
-    def suite(*args):
+    def runner(*args):
         raise exc
-    return suite
+    return runner
 
 
-# Two suites that raise, the earlier one in SUITES order first: the exit code and
-# error body that the earlier one gives.
+# Where each command's runners are replaced, and their names: the suites in
+# cli.SUITES, reconstruct's stages through the functions they look up by name in
+# twistalg.reconstruction.
+RUNNERS = {"suite": (cli.SUITES, list(cli.SUITES)),
+           "reconstruct": (vars(reconstruction), STAGE_FUNCTIONS)}
+
+
+def _fanned_out(command, fixture):
+    """The argv of a run of `command` on `fixture` that fans out."""
+    return [command, FIXDIR / fixture, *(["--suite", "all"] if command == "suite" else [])]
+
+
+# Two runners that raise, the earlier one in order first: the exit code and error
+# body that the earlier one gives.
 FAILING_PAIRS = {
-    "not-cartan": ({"relations": NotCartanError(["x", "y"]), "norms": ConsistencyError("later")},
+    "not-cartan": ("suite", {"relations": NotCartanError(["x", "y"]),
+                             "norms": ConsistencyError("later")},
                    1, {"kind": "not-cartan", "failures": ["x", "y"]}),
-    "input": ({"states": InputError("first"), "masa": ConsistencyError("later")},
+    "input": ("suite", {"states": InputError("first"), "masa": ConsistencyError("later")},
               2, {"kind": "input", "message": "first"}),
-    "consistency": ({"masa": ConsistencyError("first"), "expectation": InputError("later")},
+    "consistency": ("suite", {"masa": ConsistencyError("first"),
+                              "expectation": InputError("later")},
                     4, {"kind": "consistency", "message": "first"}),
+    "reconstruct-not-cartan": ("reconstruct", {"recover_cocycle": NotCartanError(["x"]),
+                                               "filter_axiom_report": ConsistencyError("later")},
+                               1, {"kind": "not-cartan", "failures": ["x"]}),
+    "reconstruct-input": ("reconstruct", {"rebuild_groupoid": InputError("first"),
+                                          "csum_closure": ConsistencyError("later")},
+                          2, {"kind": "input", "message": "first"}),
+    "reconstruct-consistency": ("reconstruct", {"twist_report": ConsistencyError("first"),
+                                                "hat_report": InputError("later")},
+                                4, {"kind": "consistency", "message": "first"}),
 }
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 6])
 @pytest.mark.parametrize("case", sorted(FAILING_PAIRS))
-def test_the_first_failing_suite_in_order_decides(case, cpus, monkeypatch, tmp_path):
-    failures, code, error = FAILING_PAIRS[case]
+def test_the_first_failure_in_order_decides(case, cpus, monkeypatch, tmp_path):
+    command, failures, code, error = FAILING_PAIRS[case]
     for name, exc in failures.items():
-        monkeypatch.setitem(cli.SUITES, name, _raises(exc))
-    got, report, _ = _run_on_cpus(monkeypatch, tmp_path, cpus, "suite", FIXDIR / "z2.json",
-                                  "--suite", "all")
+        monkeypatch.setitem(RUNNERS[command][0], name, _raises(exc))
+    got, report, _ = _run_on_cpus(monkeypatch, tmp_path, cpus, *_fanned_out(command, "z2.json"))
     assert (got, json.loads(report)["error"]) == (code, error)
 
 
-def test_a_child_that_dies_leaves_the_report_whole(monkeypatch, tmp_path):
-    argv = ("suite", FIXDIR / "r2.json", "--suite", "all")
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_a_child_that_dies_leaves_the_report_whole(command, monkeypatch, tmp_path):
+    runners, names = RUNNERS[command]
+    argv = _fanned_out(command, "r2.json")
     serial = _run_on_cpus(monkeypatch, tmp_path, 1, *argv)[:2]
     parent, deaths = os.getpid(), tmp_path / "deaths"
-    for name, suite in list(cli.SUITES.items()):
-        def dying(*args, suite=suite, name=name):
+    for name in names:
+        def dying(*args, runner=runners[name], name=name):
             if os.getpid() != parent:
                 with deaths.open("a") as f:
                     f.write(name + "\n")
                 os._exit(1)
-            return suite(*args)
-        monkeypatch.setitem(cli.SUITES, name, dying)
+            return runner(*args)
+        monkeypatch.setitem(runners, name, dying)
     assert _run_on_cpus(monkeypatch, tmp_path, 6, *argv)[:2] == serial
-    assert deaths.read_text()  # some child did die, and its suites ran here again
+    assert deaths.read_text()  # some child did die, and its runners ran here again
 
 
-def test_a_failed_fork_runs_the_suites_here(monkeypatch, tmp_path):
-    argv = ("suite", FIXDIR / "z3.json", "--suite", "all")
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_a_failed_fork_runs_everything_here(command, monkeypatch, tmp_path):
+    argv = _fanned_out(command, "z3.json")
     serial = _run_on_cpus(monkeypatch, tmp_path, 1, *argv)[:2]
 
     def no_fork():

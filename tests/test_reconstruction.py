@@ -543,6 +543,18 @@ def test_reconstruct_with_offdiag_basis(r2):
     assert rep.summable_image["passed"]
 
 
+def test_the_report_order_does_not_follow_the_runner(r2):
+    def backwards(names, call):
+        return {name: call(name) for name in reversed(names)}
+
+    serial = reconstruct(r2, seed=3)
+    assert list(serial.theorems) == [
+        "rebuilt_groupoid_axioms", "product_criterion", "unit_space", "ultra_primeness",
+        "domination_vs_inclusion", "filter_axioms", "states_and_angles", "twist_points",
+        "hat_map"]
+    assert dumps(reconstruct(r2, seed=3, run=backwards).to_dict()) == dumps(serial.to_dict())
+
+
 def test_reconstruct_refuses_non_cartan(r2):
     units = list(r2.groupoid.units)
     basis = BisectionBasis(r2.groupoid, [[], units, [units[0]], [units[1]]])
