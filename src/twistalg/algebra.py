@@ -465,7 +465,8 @@ def is_diagonal(a: AlgebraElement) -> bool:
 
 def is_monomial(a: AlgebraElement) -> bool:
     """True iff the support of a is a bisection."""
-    return is_bisection(a.ctx.groupoid, a.support())
+    tol = a.ctx.zero_tol
+    return is_bisection(a.ctx.groupoid, (g for g, c in a.coeffs.items() if abs(c) > tol))
 
 
 def diagonal_function(b: AlgebraElement, f) -> AlgebraElement:
@@ -582,8 +583,8 @@ def check_reduced_norm_formula(a: AlgebraElement, trials: int = 500,
         scale = d.sup_coeff()
         if scale <= ctx.zero_tol:
             return 0.0
-        c = (1 / np.sqrt(scale)) * c
-        return float(np.sqrt(diagonal(c.star() * (a.star() * (a * c))).sup_coeff()))
+        c = (1 / math.sqrt(scale)) * c
+        return math.sqrt(diagonal(c.star() * (a.star() * (a * c))).sup_coeff())
 
     random_best = 0.0
     overshoot = 0.0
@@ -603,7 +604,7 @@ def check_reduced_norm_formula(a: AlgebraElement, trials: int = 500,
         u = units[t % len(units)]
         fiber = gpd.source_fiber(u)
         vec = rng.normal(size=len(fiber)) + 1j * rng.normal(size=len(fiber))
-        c = AlgebraElement(ctx, dict(zip(fiber, vec)))
+        c = AlgebraElement(ctx, dict(zip(fiber, vec.tolist())))
         for _ in range(4):
             c = a.star() * (a * c)
             s = c.sup_coeff()

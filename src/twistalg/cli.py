@@ -11,6 +11,7 @@ identical (input, config) pairs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -227,6 +228,7 @@ def cmd_suite(path: str, config: RunConfig, suite: str) -> tuple[dict, int]:
 # -- entry point ---------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")

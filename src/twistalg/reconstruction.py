@@ -11,9 +11,9 @@ and cross-checked against direct oracles where one exists.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .algebra import (
     AlgebraElement,
@@ -176,7 +176,7 @@ def magnitude(u: Ultrafilter, n: AlgebraElement) -> float:
     val = product_coeff(n.star(), n, u.source_point())
     if abs(val.imag) > 1e-9 or val.real < 0:
         raise ConsistencyError(f"state of n*n not positive at {u.g!r}: {complex(val)!r}")
-    return float(np.sqrt(val.real))
+    return math.sqrt(val.real)
 
 
 def angle(u: Ultrafilter, m: AlgebraElement, n: AlgebraElement) -> complex:
@@ -295,7 +295,7 @@ def _monomial_through(ctx, g, rng) -> AlgebraElement:
         for h, c in base.coeffs.items()
         if gpd.source[h] != gpd.source[g] and gpd.range[h] != gpd.range[g]
     }
-    coeffs[g] = np.exp(2j * np.pi * rng.random()) * (0.3 + 1.7 * rng.random())
+    coeffs[g] = cmath.exp(2j * cmath.pi * rng.random()) * (0.3 + 1.7 * rng.random())
     return AlgebraElement(ctx, coeffs)
 
 
@@ -451,7 +451,7 @@ def states_report(ctx: TwistedAlgebra, rng) -> dict:
         unit_member = (1 / magnitude(u, n)) * n
         clipped = unit_member * diagonal_function(
             unit_member.star() * unit_member,
-            lambda x: min(1.0, 1.0 / np.sqrt(x)) if x > 0 else 0.0,
+            lambda x: min(1.0, 1.0 / math.sqrt(x)) if x > 0 else 0.0,
         )
         ball_ok = ball_ok and abs(magnitude(u, clipped) - 1) <= 1e-9
         ball_ok = ball_ok and cstar_norm(clipped) <= 1 + 1e-9

@@ -106,13 +106,12 @@ def certify_domination(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement) 
     """Evaluate all five certificate conditions for m <_s n."""
     m._same_context(s)
     m._same_context(n)
-    return _certificate(m, s, n, s * n, n * s)
+    return _certificate(m, s, n, s * m, s * n, n * s)
 
 
 def _certificate(m: AlgebraElement, s: AlgebraElement, n: AlgebraElement,
-                 sn: AlgebraElement, ns: AlgebraElement) -> DominationWitness:
-    """The certificate for m <_s n, given the products s*n and n*s."""
-    sm = s * m
+                 sm: AlgebraElement, sn: AlgebraElement, ns: AlgebraElement) -> DominationWitness:
+    """The certificate for m <_s n, given the products s*m, s*n and n*s."""
     diag_ok = all(is_diagonal(x) for x in (sm, m * s, sn, ns))
     residual = max(
         max_coeff_diff(n * sm, m),
@@ -147,11 +146,12 @@ def dominates(m: AlgebraElement, n: AlgebraElement) -> DominationWitness | None:
     """Constructive domination test on monomial elements.
 
     Builds the witness s = f(n*n) n* restricted to the range fibers of m
-    and returns it iff it certifies m <_s n.  The certificate outcome must
-    coincide with the support oracle supp(m) within supp(n); a mismatch is
-    a hard failure.  The part that does not depend on m is built once per
-    n and kept on it: supp(n), f(n*n) n*, and per set of range units of m,
-    s, s*n and n*s.
+    and returns it iff it certifies m <_s n.  The certificate ends at its
+    first condition when s*m is not diagonal.  Its outcome must coincide
+    with the support oracle supp(m) within supp(n); a mismatch is a hard
+    failure.  The part that does not depend on m is built once per n and
+    kept on it: supp(n), f(n*n) n*, and per set of range units of m, s and,
+    once a certificate gets past s*m, s*n and n*s.
     """
     _require_monomial(m)
     if n._dominating is None:  # n's own side, built whatever m's context
@@ -165,16 +165,21 @@ def dominates(m: AlgebraElement, n: AlgebraElement) -> DominationWitness | None:
     range_units = tuple(sorted({gpd.range[g] for g in m_support}, key=gpd.index))
     side = by_units.get(range_units)
     if side is None:
-        s = inverse * ctx.indicator(range_units)
-        side = by_units[range_units] = (s, s * n, n * s)
-    s, sn, ns = side
-    witness = _certificate(m, s, n, sn, ns)
+        side = by_units[range_units] = [inverse * ctx.indicator(range_units)]
+    s = side[0]
+    sm = s * m
+    ok = is_diagonal(sm)
+    if ok:
+        if len(side) == 1:
+            side.extend((s * n, n * s))
+        witness = _certificate(m, s, n, sm, side[1], side[2])
+        ok = witness.ok
     oracle = set(m_support) <= n_support
-    if witness.ok != oracle:
+    if ok != oracle:
         raise ConsistencyError(
-            f"domination certificate ({witness.ok}) disagrees with support oracle ({oracle})"
+            f"domination certificate ({ok}) disagrees with support oracle ({oracle})"
         )
-    return witness if witness.ok else None
+    return witness if ok else None
 
 
 # -- interpolation and approximation ---------------------------------------------
@@ -325,7 +330,7 @@ def predomain_interpolant(ms, n: AlgebraElement, witnesses=None) -> AlgebraEleme
         beta_m = _ball_certificate(m, n, w).sn * inv_nn
         merged = dict(beta.coeffs)
         for u, c in beta_m.coeffs.items():
-            merged[u] = max(merged.get(u, 0j).real, c.real)
+            merged[u] = complex(max(merged.get(u, 0j).real, c.real))
         beta = AlgebraElement(ctx, merged)
     sn = beta * _star_square(n)
     e = diagonal_function(sn, lambda x: 1.0 if x > tol else 0.0)

@@ -13,6 +13,7 @@ materialized set.  Four kinds are supported:
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -150,7 +151,7 @@ def csum_closure(spec: SemigroupSpec) -> SemigroupSpec:
 
 def random_coeff(rng) -> complex:
     mag = 0.3 + (2.0 - 0.3) * rng.random()
-    return mag * np.exp(2j * np.pi * rng.random())
+    return mag * cmath.exp(2j * cmath.pi * rng.random())
 
 
 def random_monomial(ctx: TwistedAlgebra, rng) -> AlgebraElement:
@@ -259,7 +260,8 @@ def positive_cone_algebra(spec: SemigroupSpec, members) -> tuple[np.ndarray, lis
     squares = (m.star() * m for m in members)
     basis = _orthonormal_basis([sq.vector() for sq in squares if not sq.is_zero()])
     while True:
-        rows = [AlgebraElement(ctx, dict(zip(ctx.groupoid.elements, row))) for row in basis]
+        rows = [AlgebraElement(ctx, dict(zip(ctx.groupoid.elements, row.tolist())))
+                for row in basis]
         products = [(a * b).vector() for a, b in itertools.product(rows, repeat=2)]
         grown = _orthonormal_basis([*basis, *products])
         if grown.shape[0] == basis.shape[0]:

@@ -61,7 +61,7 @@ def _random_restriction(n: AlgebraElement, rng, rescale: bool = False) -> Algebr
     for g in keep:
         c = n.coeff(g)
         if rescale:
-            c = c * (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random() * 0.5)
+            c = complex(c * (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random() * 0.5))
         coeffs[g] = c
     return AlgebraElement(n.ctx, coeffs)
 

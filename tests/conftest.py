@@ -1,8 +1,11 @@
 import os
+from fractions import Fraction
 
 import pytest
 
 from twistalg import standard_contexts
+from twistalg.algebra import Cocycle, Phase, TwistedAlgebra
+from twistalg.groupoid import cyclic_group
 from twistalg.seeds import substream
 
 
@@ -29,6 +32,20 @@ def z4(contexts):
 @pytest.fixture
 def v4_pauli(contexts):
     return contexts["V4_pauli"]
+
+
+@pytest.fixture
+def z6_cob():
+    """Z6 twisted by the coboundary of b with values in 1/8 and 1/100 turns."""
+    z6 = cyclic_group(6, "Z6_cob")
+    b = {g: Fraction(i, 8) if i % 2 else Fraction(i, 100)
+         for i, g in enumerate(z6.elements) if not z6.is_unit(g)}
+    values = {}
+    for (g, h), gh in z6.compose.items():
+        turns = (b.get(g, 0) + b.get(h, 0) - b.get(gh, 0)) % 1
+        if turns:
+            values[(g, h)] = Phase(turns)
+    return TwistedAlgebra(z6, Cocycle(z6, values), name="Z6_cob")
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistalg import FiniteGroupoid, standard_contexts
-from twistalg import cli, reconstruction
+from twistalg import algebra, cli, reconstruction
 from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import ConsistencyError, InputError, NotCartanError
 from twistalg.fileio import (
@@ -208,6 +208,29 @@ def test_help_returns_zero(capsys):
     assert run("--help") == 0
     assert run("suite", "--help") == 0
     assert "cartan|relations|states|masa|expectation|norms|all" in capsys.readouterr().out
+
+
+def test_the_one_parser_answers_as_a_fresh_one(capsys):
+    """main builds its parser once per process: a usage error (2), --help (0) and
+    a valid validate call (0), run in that order on the one parser, give the codes
+    and output that each gets from a parser of its own."""
+    calls = [("validate", FIXDIR / "r2.json", "--tol", "abc"), ("--help",),
+             ("validate", FIXDIR / "r2.json")]
+
+    def answer(argv):
+        code = run(*argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._parser.cache_clear()
+    shared = [answer(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(answer(argv))
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert shared == fresh
 
 
 def test_suite_unknown_name():
@@ -726,3 +749,19 @@ def test_errors_survive_pickling(exc):
     assert type(back) is type(exc)
     assert (str(back), back.args) == (str(exc), exc.args)
     assert getattr(back, "failures", None) == getattr(exc, "failures", None)
+
+
+def test_coefficients_reach_the_kernels_as_python_complex(monkeypatch):
+    """Every coefficient that library reconstruct on R3, and suite --suite all on
+    z4, hand to convolve is a Python complex, never a numpy scalar."""
+    convolve, operands = algebra.convolve, set()
+
+    def recording(a, b):
+        operands.update(type(c) for x in (a, b) for c in x.coeffs.values())
+        return convolve(a, b)
+
+    monkeypatch.setattr(algebra, "convolve", recording)
+    _count_forks(monkeypatch, 1)  # every suite runs in this process
+    assert reconstruction.reconstruct(standard_contexts()["R3"], seed=42).passed
+    assert run("suite", FIXDIR / "z4.json", "--suite", "all", "--out", os.devnull) == 0
+    assert operands == {complex}

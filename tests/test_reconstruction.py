@@ -27,6 +27,7 @@ from twistalg.algebra import (
     Phase,
     TwistedAlgebra,
     diagonal,
+    is_diagonal,
     max_coeff_diff,
 )
 from twistalg.errors import InputError
@@ -101,6 +102,46 @@ def test_up_closure_witness_matches_the_old_order(contexts, data):
             patch.setattr(reconstruction, "dominates", relation)
             assert check_filter_axioms(u, sample)["up_witness"] == old
 
+
+def test_a_failed_certificate_ends_at_a_non_diagonal_s_times_m(r3, monkeypatch):
+    """On the sweeps of an R3 ultrafilter, a certificate whose s*m is not diagonal
+    forms at most two products past n's own side f(n*n) n*: s and s*m."""
+    from twistalg import algebra, relations
+
+    convolve, inverse_on_support = algebra.convolve, relations._inverse_on_support
+    calls, building = [], []
+
+    def counting(a, b):
+        if calls and not building:
+            calls[-1]["products"] += 1
+        return convolve(a, b)
+
+    def n_side(n):
+        building.append(n)
+        try:
+            return inverse_on_support(n)
+        finally:
+            building.pop()
+
+    def recording(m, n):
+        calls.append({"products": 0})
+        w = dominates(m, n)
+        s = n._dominating[2][tuple(sorted({r3.groupoid.range[g] for g in m.support()},
+                                          key=r3.groupoid.index))][0]
+        calls[-1].update(ok=w is not None, first_failed=not is_diagonal(convolve(s, m)))
+        return w
+
+    monkeypatch.setattr(algebra, "convolve", counting)
+    monkeypatch.setattr(relations, "_inverse_on_support", n_side)
+    monkeypatch.setattr(reconstruction, "dominates", recording)
+    rng = substream(3, "up-closure-products")
+    g = "(1,2)"
+    sample = [r3.delta(g)] + [reconstruction._monomial_through(r3, g, rng) for _ in range(6)]
+    sample += [random_monomial(r3, rng) for _ in range(6)]
+    assert check_filter_axioms(ultrafilter_at(r3, g), sample)["up_closed"]
+    failed = [c for c in calls if not c["ok"]]
+    assert sum(c["first_failed"] for c in failed) > 0
+    assert all(c["products"] <= 2 for c in failed if c["first_failed"])
 
 def _filter_sample(ctx, g, rng, data):
     """delta_g, members through g (some rescaled, some cut to g alone) and
@@ -204,20 +245,7 @@ def test_prime_witness_matches_the_old_order(contexts, data):
     assert check_filter_axioms(u, sample)["prime_witness"] == old
 
 
-def _z6_coboundary_context():
-    """Z6 twisted by the coboundary of b with values in 1/8 and 1/100 turns."""
-    z6 = cyclic_group(6, "Z6_cob")
-    b = {g: Fraction(i, 8) if i % 2 else Fraction(i, 100)
-         for i, g in enumerate(z6.elements) if not z6.is_unit(g)}
-    values = {}
-    for (g, h), gh in z6.compose.items():
-        turns = (b.get(g, 0) + b.get(h, 0) - b.get(gh, 0)) % 1
-        if turns:
-            values[(g, h)] = Phase(turns)
-    return TwistedAlgebra(z6, Cocycle(z6, values), name="Z6_cob")
-
-
-def test_angle_and_magnitude_read_one_coefficient(contexts, monkeypatch):
+def test_angle_and_magnitude_read_one_coefficient(contexts, z6_cob, monkeypatch):
     """angle and magnitude equal the state formula psi_U(E(n* m)) bit for bit,
     and form no convolution."""
     from twistalg import algebra
@@ -230,7 +258,7 @@ def test_angle_and_magnitude_read_one_coefficient(contexts, monkeypatch):
         return state / (old_magnitude(u, m) * old_magnitude(u, n))
 
     cases = []
-    for ctx in (*contexts.values(), _z6_coboundary_context()):
+    for ctx in (*contexts.values(), z6_cob):
         rng = substream(5, "one-coefficient", ctx.name)
         for g in ctx.groupoid.elements:
             u = ultrafilter_at(ctx, g)
@@ -299,7 +327,8 @@ def _full_product_criterion(ctx, rng):
 
 
 @pytest.mark.parametrize("near_tol", [False, True])
-def test_product_criterion_matches_the_full_product_oracle(contexts, monkeypatch, near_tol):
+def test_product_criterion_matches_the_full_product_oracle(contexts, z6_cob, monkeypatch,
+                                                           near_tol):
     """The one-coefficient test with its full-product fallback gives the full
     products' report.  With near_tol, two of the three sampled members through
     each point have |m(g)| = sqrt(zero_tol) (1 +- 1e-4), so that the coefficient
@@ -328,15 +357,14 @@ def test_product_criterion_matches_the_full_product_oracle(contexts, monkeypatch
         return value
 
     monkeypatch.setattr(reconstruction, "product_coeff", recording)
-    twisted = _z6_coboundary_context()
-    for ctx in (*contexts.values(), twisted):
+    for ctx in (*contexts.values(), z6_cob):
         for seed in (1, 8):
             drawn.clear()
             expected = _full_product_criterion(ctx, substream(seed, "pc-oracle", ctx.name))
             drawn.clear()
             report = product_criterion_report(ctx, substream(seed, "pc-oracle", ctx.name))
             assert report == expected, (ctx.name, seed)
-    tol = twisted.zero_tol
+    tol = z6_cob.zero_tol
     assert any(x > tol for x in read)
     assert any(x <= tol for x in read) == near_tol
 

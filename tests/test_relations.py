@@ -25,7 +25,7 @@ from twistalg.algebra import (
     max_coeff_diff,
 )
 from twistalg.errors import ConsistencyError, InputError
-from twistalg.groupoid import is_bisection
+from twistalg.groupoid import cyclic_group, disjoint_union, full_relation, is_bisection
 from twistalg.relations import general_restriction_le, verify_ball_certificate
 from twistalg.semigroups import random_monomial
 from twistalg.suites import _random_restriction, relations_suite
@@ -413,14 +413,15 @@ def test_domination_certificate_forms_each_product_once(r3, rng, monkeypatch):
     assert checked > 0
 
 
-def test_reused_dominating_side_matches_a_fresh_copy(contexts, rng):
+def test_reused_dominating_side_matches_a_fresh_copy(contexts, z6_cob, rng):
     """dominates(m, n) with n kept across a sweep, its side built once and the
-    s, s*n, n*s of each range-unit set reused, gives the certificate that a
-    fresh copy of n gets from s = f(n*n) n* 1_r(m) formed afresh: the same s,
-    residual, sn and ns."""
+    s, s*n, n*s of each range-unit set reused, and its certificate ended at a
+    non-diagonal s*m, gives the verdict of the full certificate that a fresh copy
+    of n gets from s = f(n*n) n* 1_r(m) formed afresh, and when it holds the same
+    s, residual, diagonal_ok, sn and ns."""
+    r3_disj_z2 = TwistedAlgebra(disjoint_union(full_relation(3), cyclic_group(2), "R3_disj_Z2"))
     reused = 0
-    for name in ("R3", "Z4", "V4_pauli", "R2_disj_Z2"):
-        ctx = contexts[name]
+    for ctx in (*contexts.values(), z6_cob, r3_disj_z2):
         gpd = ctx.groupoid
         for _ in range(8):
             n = random_monomial(ctx, rng)
@@ -436,6 +437,7 @@ def test_reused_dominating_side_matches_a_fresh_copy(contexts, rng):
                 if kept is not None:
                     assert kept.s.coeffs == fresh.s.coeffs
                     assert kept.residual == fresh.residual
+                    assert kept.diagonal_ok == fresh.diagonal_ok
                     assert kept.sn.coeffs == fresh.sn.coeffs
                     assert kept.ns.coeffs == fresh.ns.coeffs
             reused += len(n._dominating[2]) < len(ms)

@@ -21,6 +21,7 @@ from twistalg.semigroups import (
     _orthonormal_basis,
     first_unsummable,
     positive_cone_algebra,
+    random_coeff,
     random_diagonal,
     random_element,
     random_monomial,
@@ -292,3 +293,52 @@ def test_right_identity_transfers_to_adjoint(r3, rng):
             continue
         assert max_coeff_diff(m * n, m) < 1e-12
         assert max_coeff_diff(m * n.star(), m) < 1e-12
+
+
+
+def _numpy_coeff(rng):
+    """random_coeff in the numpy scalar arithmetic it once used."""
+    mag = 0.3 + (2.0 - 0.3) * rng.random()
+    return mag * np.exp(2j * np.pi * rng.random())
+
+
+def _bits(values) -> list[tuple[str, str]]:
+    return [(c.real.hex(), c.imag.hex()) for c in map(complex, values)]
+
+
+def _python_bits(values) -> list[tuple[str, str]]:
+    values = list(values)
+    assert all(type(c) is complex for c in values)
+    return _bits(values)
+
+
+def test_samplers_draw_the_values_of_their_numpy_expressions(r3, monkeypatch):
+    """10,000 seeded draws each of random_coeff, _monomial_through and the rescaled
+    _random_restriction are Python complex and equal, bit for bit, what the numpy
+    expressions they replace return from the same stream."""
+    from twistalg.reconstruction import _monomial_through
+    from twistalg.suites import _random_restriction
+
+    draws, gpd = 10_000, r3.groupoid
+    points = [gpd.elements[i % len(gpd.elements)] for i in range(draws)]
+    stream, reference = substream(11, "samplers"), substream(11, "samplers")
+    assert _python_bits(random_coeff(stream) for _ in range(draws)) == \
+        _bits(_numpy_coeff(reference) for _ in range(draws))
+
+    n = random_monomial(r3, stream)
+    random_monomial(r3, reference)  # the same draws, to keep the two streams in step
+    drawn = [_monomial_through(r3, g, stream) for g in points]
+    restricted = [_random_restriction(n, stream, rescale=True) for _ in range(draws)]
+    monkeypatch.setattr(semigroups, "random_coeff", _numpy_coeff)
+    for g, m in zip(points, drawn):
+        coeffs = {h: c for h, c in random_monomial(r3, reference).coeffs.items()
+                  if gpd.source[h] != gpd.source[g] and gpd.range[h] != gpd.range[g]}
+        coeffs[g] = np.exp(2j * np.pi * reference.random()) * (0.3 + 1.7 * reference.random())
+        assert list(m.coeffs) == list(coeffs)
+        assert _python_bits(m.coeffs.values()) == _bits(coeffs.values())
+    for r in restricted:
+        keep = [g for g in n.support() if reference.random() < 0.7]
+        coeffs = [n.coeff(g) * (0.5 + reference.random())
+                  * np.exp(2j * np.pi * reference.random() * 0.5) for g in keep]
+        assert list(r.coeffs) == keep
+        assert _python_bits(r.coeffs.values()) == _bits(coeffs)
