@@ -25,10 +25,12 @@ import numpy as np
 
 from .errors import InputError
 from .groupoid import (
+    BudgetExhausted,
     FiniteGroupoid,
     IsoResult,
-    groupoids_isomorphic,
+    _Budget,
     is_bisection,
+    iter_isomorphisms,
     klein_four,
     standard_fixtures,
 )
@@ -72,7 +74,7 @@ class Phase:
         return cmath.exp(2j * cmath.pi * float(self.turns))
 
     @staticmethod
-    def from_complex(z: complex, denominator: int = 64) -> "Phase":
+    def from_complex(z: complex, denominator: int) -> "Phase":
         """Snap a unit-modulus complex number to the nearest multiple of 1/denominator turn."""
         if denominator > MAX_SNAP_DENOMINATOR:
             raise InputError(f"phases finer than 1/{MAX_SNAP_DENOMINATOR} turn cannot be "
@@ -118,6 +120,11 @@ class Cocycle:
         """The lcm L of the phases' denominators (1 if trivial): each phase is k/L turns."""
         return math.lcm(*(p.turns.denominator for p in self.values.values()))
 
+    def whole_turns(self, grid: int) -> dict[tuple[str, str], int]:
+        """Each stored (nonzero) phase as k whole 1/grid turns, grid a multiple of self.grid."""
+        return {pair: p.turns.numerator * (grid // p.turns.denominator)
+                for pair, p in self.values.items()}
+
     def __call__(self, g: str, h: str) -> Phase:
         if (g, h) not in self.groupoid.compose:
             raise InputError(f"cocycle queried on non-composable pair ({g!r}, {h!r})")
@@ -129,9 +136,7 @@ class Cocycle:
         s(b)).  A pair missing from the table raises as a query on it does."""
         g = self.groupoid
         grid = self.grid
-        turns = dict.fromkeys(g.compose, 0)
-        turns.update((pair, p.turns.numerator * (grid // p.turns.denominator))
-                     for pair, p in self.values.items())
+        turns = {**dict.fromkeys(g.compose, 0), **self.whole_turns(grid)}
 
         def t(x: str, y: str) -> int:
             return turns[(x, y)] if (x, y) in turns else self(x, y)  # self(x, y) raises
@@ -160,54 +165,55 @@ class Cocycle:
         }
 
 
-def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = 10**6) -> IsoResult:
+@dataclass(frozen=True)
+class TwistIsoResult(IsoResult):
+    """An IsoResult with the groupoid verdict the twist search settles on the way
+    (None when the budget ran out before a groupoid isomorphism was met)."""
+
+    groupoids_isomorphic: bool | None = None
+
+
+def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = 10**6) -> TwistIsoResult:
     """Search for an isomorphism of the twists defined by two cocycles.
 
     A groupoid isomorphism phi counts when it carries the cocycle exactly,
     b(phi(g), phi(h)) == a(g, h) on every composable pair.  Cocycles that
     differ only by a coboundary are not identified.
 
-    The search is pruned by the commutator pairing a(x, y) - a(y, x) on
-    commuting pairs (Kleppner, 1965): a node fails as soon as a mapped pair
-    commutes in a but not in b, or with another pairing.  A map that carries
-    the cocycle preserves the pairing, so no carrying map is pruned and the
-    first one found is the unpruned search's.  When none is found, `rejected`
-    counts the groupoid isomorphisms met that do not carry it: those the
-    pruned search completed, or else the first one of the plain search, run
-    on a budget of the same size.  `nodes_visited` counts both searches, and
-    either one running out of budget makes the result inconclusive.
+    One walk under one budget: its first groupoid isomorphism settles
+    `groupoids_isomorphic`, and after it the walk is pruned by the commutator
+    pairing a(x, y) - a(y, x) on commuting pairs (Kleppner, 1965).  A carrying
+    map preserves the pairing, so the first one found is the unpruned walk's.
     """
-    zero = Fraction(0)
-    ta = {pair: p.turns for pair, p in a.values.items()}
-    tb = {pair: p.turns for pair, p in b.values.items()}
+    grid = math.lcm(a.grid, b.grid)
+    ta, tb = a.whole_turns(grid), b.whole_turns(grid)
     pairs = tuple(a.groupoid.compose)
 
     def carries(m: dict[str, str]) -> bool:
-        return all(ta.get((g, h), zero) == tb.get((m[g], m[h]), zero) for g, h in pairs)
+        return all(ta.get((g, h), 0) == tb.get((m[g], m[h]), 0) for g, h in pairs)
 
     def labels():
-        grid = math.lcm(a.grid, b.grid)
         by_element = {}
         for (x, e), v in _commutator_pairing(a, grid).items():
             by_element.setdefault(e, []).append((x, v))
         return by_element, _commutator_pairing(b, grid)
 
-    result = groupoids_isomorphic(a.groupoid, b.groupoid, budget, accept=carries, labels=labels)
-    if result.status != "not_isomorphic" or result.rejected:
-        return result
-    plain = groupoids_isomorphic(a.groupoid, b.groupoid, budget)
-    nodes = result.nodes_visited + plain.nodes_visited
-    if plain.status == "inconclusive":
-        return IsoResult("inconclusive", None, nodes)
-    return IsoResult("not_isomorphic", None, nodes, rejected=int(plain.found))
+    tracker, met = _Budget(budget), False
+    try:
+        for mapping in iter_isomorphisms(a.groupoid, b.groupoid, tracker, labels):
+            if carries(mapping):
+                return TwistIsoResult("isomorphic", mapping, tracker.used, True)
+            met = True
+    except BudgetExhausted:
+        return TwistIsoResult("inconclusive", None, tracker.used, met or None)
+    return TwistIsoResult("not_isomorphic", None, tracker.used, met)
 
 
 def _commutator_pairing(c: Cocycle, grid: int) -> dict[tuple[str, str], int]:
     """(x, y) -> c(x, y) - c(y, x) in whole 1/grid turns, mod grid, for each
     pair with xy = yx (grid a multiple of c.grid)."""
     compose = c.groupoid.compose
-    turns = {pair: p.turns.numerator * (grid // p.turns.denominator)
-             for pair, p in c.values.items()}
+    turns = c.whole_turns(grid)
     return {(x, y): (turns.get((x, y), 0) - turns.get((y, x), 0)) % grid
             for (x, y), p in compose.items() if compose.get((y, x)) == p}
 
@@ -312,17 +318,15 @@ class AlgebraElement:
     """Finitely supported complex function on the groupoid elements.
 
     Immutable by convention: no method mutates coeffs after construction.
-    Four caches are written once, on first use: `_blocks` (regular_representation),
-    `_dominating` (n's side in relations.dominates), `_star` (star()) and
-    `_square` (n*n in relations).
+    Three caches are written once, on first use: `_dominating` (n's side in
+    relations.dominates), `_star` (star()) and `_square` (n*n in relations).
     """
 
-    __slots__ = ("ctx", "coeffs", "_blocks", "_dominating", "_star", "_square")
+    __slots__ = ("ctx", "coeffs", "_dominating", "_star", "_square")
 
     def __init__(self, ctx: TwistedAlgebra, coeffs: dict[str, complex]):
         self.ctx = ctx
         self.coeffs = dict(coeffs)
-        self._blocks = None
         self._dominating = None
         self._star = None
         self._square = None
@@ -535,16 +539,14 @@ def _representation_layout(ctx: TwistedAlgebra) -> tuple:
 
 
 def regular_representation(a: AlgebraElement) -> MatrixImage:
-    if a._blocks is None:
-        basis, spans, size, pos, gather, sig_re, sig_im = _representation_layout(a.ctx)
-        c = a.vector()[gather]
-        flat = np.zeros(size, dtype=complex)
-        # 0.0 + turns a -0.0 part into 0.0, as adding the term to a zero entry does.
-        flat.real[pos] = 0.0 + (sig_re * c.real - sig_im * c.imag)
-        flat.imag[pos] = 0.0 + (sig_re * c.imag + sig_im * c.real)
-        blocks = {u: flat[s:s + d * d].reshape(d, d) for u, (s, d) in spans.items()}
-        a._blocks = MatrixImage(basis, blocks)
-    return a._blocks
+    basis, spans, size, pos, gather, sig_re, sig_im = _representation_layout(a.ctx)
+    c = a.vector()[gather]
+    flat = np.zeros(size, dtype=complex)
+    # 0.0 + turns a -0.0 part into 0.0, as adding the term to a zero entry does.
+    flat.real[pos] = 0.0 + (sig_re * c.real - sig_im * c.imag)
+    flat.imag[pos] = 0.0 + (sig_re * c.imag + sig_im * c.real)
+    blocks = {u: flat[s:s + d * d].reshape(d, d) for u, (s, d) in spans.items()}
+    return MatrixImage(basis, blocks)
 
 
 def cstar_norm(a: AlgebraElement) -> float:

@@ -136,7 +136,7 @@ def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]
         result = {"status": "isomorphic", "mapping": dict(sorted(iso.mapping.items()))}
         code = EXIT_PASS
     else:
-        result = {"status": "not_isomorphic", "groupoids_isomorphic": iso.rejected > 0}
+        result = {"status": "not_isomorphic", "groupoids_isomorphic": iso.groupoids_isomorphic}
         code = EXIT_FAIL
     result["nodes_visited"] = iso.nodes_visited
     return {"result": result}, code

@@ -381,7 +381,6 @@ class IsoResult:
     status: str
     mapping: dict[str, str] | None = None
     nodes_visited: int = 0
-    rejected: int = 0  # isomorphisms found but refused by the caller's `accept`
 
     @property
     def found(self) -> bool:
@@ -444,8 +443,9 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget, lab
     `labels`, if given, is called once the element signatures match and
     returns (pairs, pairing): pairs[e] lists (x, v) for the x that commute
     with e in a, and pairing[(y, f)] is the value of a commuting pair of b.
-    A node then also requires pairing[(phi(x), phi(e))] == v for each mapped
-    x, so only the maps that preserve these labels are yielded.
+    The first isomorphism is found without them; after it, a node also needs
+    pairing[(phi(x), phi(e))] == v for each mapped x, and a branch is left once
+    its mapped part breaks them (`labelled` false), so later maps keep them.
     """
     ua = {u: _unit_signature(a, u) for u in a.units}
     ub = {u: _unit_signature(b, u) for u in b.units}
@@ -465,6 +465,7 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget, lab
         factors[p].append(pair)
     mapping: dict[str, str] = {}
     used: set[str] = set()
+    found = False
 
     def agrees(x: str, y: str) -> bool:
         """x*y is defined iff phi(x)*phi(y) is, and phi(x*y) = phi(x)*phi(y) when mapped."""
@@ -474,44 +475,40 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget, lab
             return False
         return p is None or p not in mapping or mapping[p] == q
 
-    def search(i: int):
+    def search(i: int, labelled: bool):
+        nonlocal found
         if i == len(order):
+            found = True
             yield dict(mapping)
             return
         e = order[i]
         for f in candidates[e]:
+            if found and not labelled:
+                return
             if f in used:
                 continue
             budget.spend()
             mapping[e] = f
             if (all(agrees(x, e) and agrees(e, x) for x in mapping)
                     and all(agrees(x, y) for x, y in factors[e]
-                            if x in mapping and y in mapping)
-                    and all(pairing.get((mapping[x], f)) == v
-                            for x, v in pairs.get(e, ()) if x in mapping)):
-                used.add(f)
-                yield from search(i + 1)
-                used.discard(f)
+                            if x in mapping and y in mapping)):
+                keeps = labelled and all(pairing.get((mapping[x], f)) == v
+                                         for x, v in pairs.get(e, ()) if x in mapping)
+                if keeps or not found:
+                    used.add(f)
+                    yield from search(i + 1, keeps)
+                    used.discard(f)
             del mapping[e]
 
-    yield from search(0)
+    yield from search(0, True)
 
 
-def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, budget: int = 10**6,
-                         accept=None, labels=None) -> IsoResult:
-    """Search for a groupoid isomorphism a -> b within a node-visit budget.
-
-    With `accept`, only an isomorphism for which accept(mapping) is true
-    counts as found; the others are counted in `rejected`.  `labels` prunes
-    the search as in `iter_isomorphisms`.
-    """
+def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, budget: int = 10**6) -> IsoResult:
+    """Search for a groupoid isomorphism a -> b within a node-visit budget."""
     tracker = _Budget(budget)
-    rejected = 0
     try:
-        for mapping in iter_isomorphisms(a, b, tracker, labels):
-            if accept is None or accept(mapping):
-                return IsoResult("isomorphic", mapping, tracker.used, rejected)
-            rejected += 1
+        for mapping in iter_isomorphisms(a, b, tracker):
+            return IsoResult("isomorphic", mapping, tracker.used)
     except BudgetExhausted:
-        return IsoResult("inconclusive", None, tracker.used, rejected)
-    return IsoResult("not_isomorphic", None, tracker.used, rejected)
+        return IsoResult("inconclusive", None, tracker.used)
+    return IsoResult("not_isomorphic", None, tracker.used)

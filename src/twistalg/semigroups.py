@@ -170,12 +170,9 @@ def random_monomial(ctx: TwistedAlgebra, rng) -> AlgebraElement:
     return AlgebraElement(ctx, {g: random_coeff(rng) for g in chosen})
 
 
-def random_diagonal(ctx: TwistedAlgebra, rng, positive: bool = False) -> AlgebraElement:
-    out = {}
-    for u in ctx.groupoid.units:
-        if rng.random() < 0.7:
-            out[u] = complex(0.3 + 1.7 * rng.random()) if positive else random_coeff(rng)
-    return AlgebraElement(ctx, out)
+def random_diagonal(ctx: TwistedAlgebra, rng) -> AlgebraElement:
+    return AlgebraElement(ctx, {u: random_coeff(rng) for u in ctx.groupoid.units
+                                if rng.random() < 0.7})
 
 
 def random_element(ctx: TwistedAlgebra, rng) -> AlgebraElement:

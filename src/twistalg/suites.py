@@ -311,12 +311,13 @@ def norms_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
         a = random_element(ctx, rng)
         b = random_element(ctx, rng)
         z = complex(rng.normal(), rng.normal())
-        na = cstar_norm(a)
+        ia = regular_representation(a)
+        na = ia.operator_norm
         cstar_res = max(cstar_res, abs(cstar_norm(a.star() * a) - na * na))
         homog_res = max(homog_res, abs(cstar_norm(z * a) - abs(z) * na))
         if na <= 1e-12:
             faithful_ok = faithful_ok and a.is_zero(1e-12)
-        ia, ib, iab = (regular_representation(x) for x in (a, b, a * b))
+        ib, iab = regular_representation(b), regular_representation(a * b)
         istar = regular_representation(a.star())
         for u in ctx.groupoid.units:
             hom_res = max(hom_res, float(np.abs(ia.blocks[u] @ ib.blocks[u] - iab.blocks[u]).max()))

@@ -271,9 +271,9 @@ def test_phase_arithmetic_exact():
     assert (i * i).turns.numerator == 1 and (i * i).turns.denominator == 2
     assert (i * i).complex == -1
     assert i.conj().complex == -1j
-    assert Phase.from_complex(-1j).turns == Phase.of(3, 4).turns
+    assert Phase.from_complex(-1j, 4).turns == Phase.of(3, 4).turns
     with pytest.raises(InputError):
-        Phase.from_complex(0.5 + 0j)
+        Phase.from_complex(0.5 + 0j, 4)
 
 
 def test_cocycle_violations_rejected():

@@ -1,5 +1,6 @@
-"""The twist-isomorphism search prunes by the commutator pairing; the verdicts,
-mappings and groupoid verdicts stay those of the unpruned search."""
+"""The twist-isomorphism search prunes by the commutator pairing once its
+first groupoid isomorphism is found; the verdicts, mappings and groupoid
+verdicts stay those of the unpruned search."""
 
 import importlib.util
 import itertools
@@ -12,12 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg.algebra import Cocycle, Phase, pauli_cocycle, standard_contexts, twists_isomorphic
+from twistalg.algebra import (
+    Cocycle,
+    Phase,
+    TwistIsoResult,
+    _commutator_pairing,
+    pauli_cocycle,
+    standard_contexts,
+    twists_isomorphic,
+)
 from twistalg.groupoid import (
+    BudgetExhausted,
     FiniteGroupoid,
+    _Budget,
     disjoint_union,
     full_relation,
     groupoids_isomorphic,
+    iter_isomorphisms,
     klein_four,
 )
 
@@ -25,9 +37,9 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def _unpruned_twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = 10**6):
-    """The search before the pairing pruning, as the oracle: every groupoid
-    isomorphism is listed and tested against the cocycle, and `rejected` > 0
-    tells that the groupoids are isomorphic."""
+    """The search without the pairing pruning, as the oracle: the plain walk
+    lists every groupoid isomorphism and tests each against the cocycle in
+    exact Fractions; any isomorphism met tells that the groupoids are isomorphic."""
     zero = Fraction(0)
     ta = {pair: p.turns for pair, p in a.values.items()}
     tb = {pair: p.turns for pair, p in b.values.items()}
@@ -36,15 +48,22 @@ def _unpruned_twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = 10**6):
     def carries(m):
         return all(ta.get((g, h), zero) == tb.get((m[g], m[h]), zero) for g, h in pairs)
 
-    return groupoids_isomorphic(a.groupoid, b.groupoid, budget, accept=carries)
+    tracker, met = _Budget(budget), False
+    try:
+        for mapping in iter_isomorphisms(a.groupoid, b.groupoid, tracker):
+            if carries(mapping):
+                return TwistIsoResult("isomorphic", mapping, tracker.used, True)
+            met = True
+    except BudgetExhausted:
+        return TwistIsoResult("inconclusive", None, tracker.used, met or None)
+    return TwistIsoResult("not_isomorphic", None, tracker.used, met)
 
 
 def _assert_matches_oracle(a: Cocycle, b: Cocycle):
     new, old = twists_isomorphic(a, b), _unpruned_twists_isomorphic(a, b)
     assert new.status == old.status
     assert new.mapping == old.mapping
-    if new.status == "not_isomorphic":  # what compare reports as groupoids_isomorphic
-        assert (new.rejected > 0) == (old.rejected > 0)
+    assert new.groupoids_isomorphic == old.groupoids_isomorphic  # what compare reports
     assert new.nodes_visited <= old.nodes_visited
     return new
 
@@ -164,47 +183,55 @@ def test_fixture_pairs_match_the_unpruned_oracle(a, b):
 def test_twisted_component_of_a_union_is_told_apart():
     assert twists_isomorphic(COCYCLES["V4_pauli+R2"], COCYCLES["R2+V4_pauli"]).found
     result = twists_isomorphic(COCYCLES["V4_pauli+R2"], COCYCLES["V4+R2"])
-    assert result.status == "not_isomorphic" and result.rejected > 0
+    assert result.status == "not_isomorphic" and result.groupoids_isomorphic
+
+
+LABELLED_PAIRS = [("V4", "V4_pauli"), ("V4_pauli", "V4_pauli"),
+                  ("V4_pauli+R2", "V4+R2"), ("V4_pauli+R2", "R2+V4_pauli")]
+
+
+@pytest.mark.parametrize("a, b", LABELLED_PAIRS, ids=[f"{a}-vs-{b}" for a, b in LABELLED_PAIRS])
+def test_labelled_walk_yields_the_first_map_then_pairing_preserving_maps(a, b):
+    """With labels, the walk yields the plain walk's first isomorphism, then
+    exactly the later ones that preserve the commutator pairing, in order."""
+    ca, cb = COCYCLES[a], COCYCLES[b]
+    grid = math.lcm(ca.grid, cb.grid)
+    pairing_a, pairing_b = _commutator_pairing(ca, grid), _commutator_pairing(cb, grid)
+    pairs = {}
+    for (x, e), v in pairing_a.items():
+        pairs.setdefault(e, []).append((x, v))
+    plain = list(iter_isomorphisms(ca.groupoid, cb.groupoid, _Budget(10**6)))
+    labelled = list(iter_isomorphisms(ca.groupoid, cb.groupoid, _Budget(10**6),
+                                      lambda: (pairs, pairing_b)))
+    keeps = [m for m in plain[1:]
+             if all(pairing_b.get((m[x], m[y])) == v for (x, y), v in pairing_a.items())]
+    assert plain and labelled == plain[:1] + keeps
 
 
 def test_non_isomorphic_groupoids_with_equal_signatures():
-    """Z4 x Z4 and Z4 x| Z4 pass the signature test, so the plain search must
-    run out its whole tree to tell the groupoids apart; the verdict is the
-    oracle's, although the two searches together visit more nodes."""
-    for a, b in (("Z4xZ4", "Z4sdZ4"), ("Z4sdZ4", "Z4xZ4")):
+    """Z4 x Z4 and Z4 x| Z4 pass the signature test, and no groupoid
+    isomorphism is ever found to start the pruning, so the one walk is the
+    plain walk: the same verdict and exactly its nodes (the two walks it
+    replaced visited 1,760 and 2,912)."""
+    for a, b, nodes in (("Z4xZ4", "Z4sdZ4", 1168), ("Z4sdZ4", "Z4xZ4", 1456)):
         new = twists_isomorphic(COCYCLES[a], COCYCLES[b])
         old = _unpruned_twists_isomorphic(COCYCLES[a], COCYCLES[b])
-        assert (new.status, new.rejected) == (old.status, old.rejected) == ("not_isomorphic", 0)
+        plain = groupoids_isomorphic(COCYCLES[a].groupoid, COCYCLES[b].groupoid)
+        assert (new.status, new.groupoids_isomorphic) == (old.status, old.groupoids_isomorphic) \
+            == ("not_isomorphic", False)
+        assert new.nodes_visited == plain.nodes_visited == nodes
 
 
-def _split(a: Cocycle, b: Cocycle):
-    """The nodes of the pruned search and of the plain search to its first
-    isomorphism, when the pruned search finds no twist isomorphism."""
-    total = twists_isomorphic(a, b)
-    plain = groupoids_isomorphic(a.groupoid, b.groupoid)
-    assert total.status == "not_isomorphic"
-    return total.nodes_visited - plain.nodes_visited, plain.nodes_visited
-
-
-def test_follow_up_search_out_of_budget_is_inconclusive():
-    """The pruned search finishes within the budget and the groupoid-only
-    follow-up does not: the result is inconclusive, never not_isomorphic with
-    a guessed groupoid verdict."""
-    a, b = COCYCLES["Z4xZ4"], COCYCLES["Z4sdZ4"]
-    pruned, plain = _split(a, b)
-    assert pruned < plain
-    for budget in (pruned, plain - 1):
-        result = twists_isomorphic(a, b, budget=budget)
-        assert result.status == "inconclusive" and result.mapping is None
-    assert twists_isomorphic(a, b, budget=plain).status == "not_isomorphic"
-
-
-def test_pruned_search_out_of_budget_is_inconclusive():
-    a, b = COCYCLES["V4"], COCYCLES["V4_pauli"]
-    pruned, plain = _split(a, b)
-    assert twists_isomorphic(a, b, budget=pruned - 1).status == "inconclusive"
-    result = twists_isomorphic(a, b, budget=max(pruned, plain))
-    assert result.status == "not_isomorphic" and result.rejected > 0
+@pytest.mark.parametrize("a, b", [("V4", "V4_pauli"), ("Z4xZ4", "Z4sdZ4")],
+                         ids=["V4-vs-V4_pauli", "Z4xZ4-vs-Z4sdZ4"])
+def test_one_budget_bounds_the_walk(a, b):
+    """The walk is conclusive exactly from a budget of its own node count; one
+    node less is inconclusive, never not_isomorphic with a guessed groupoid verdict."""
+    full = twists_isomorphic(COCYCLES[a], COCYCLES[b])
+    assert full.status == "not_isomorphic"
+    short = twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited - 1)
+    assert short.status == "inconclusive" and short.mapping is None
+    assert twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited) == full
 
 
 def _load_workloads():
@@ -214,10 +241,12 @@ def _load_workloads():
     return module
 
 
-# The benchmark's compare pairs: nodes visited by the pruned search and its
-# follow-up.  The unpruned search visited 38,155, 8,156, 4,912, 16, 0, 24 and 16.
-COMPARE_NODES = {"Z2cubedxZ3_vs_tw": 451, "Z4xZ2xZ2_vs_tw": 228, "Z4xZ4_vs_tw": 104,
-                 "V4_vs_pauli": 14, "Z4_vs_V4": 0, "self": 24, "V4_vs_cob": 16}
+# The benchmark's compare pairs: nodes visited by the one walk, pruned after its
+# first groupoid isomorphism.  The pruned search and its plain follow-up walk
+# visited 451, 228, 104, 14, 0, 24 and 16 together; the unpruned search visited
+# 38,155, 8,156, 4,912, 16, 0, 24 and 16.
+COMPARE_NODES = {"Z2cubedxZ3_vs_tw": 444, "Z4xZ2xZ2_vs_tw": 225, "Z4xZ4_vs_tw": 99,
+                 "V4_vs_pauli": 11, "Z4_vs_V4": 0, "self": 24, "V4_vs_cob": 16}
 
 
 def test_benchmark_compare_pairs_are_pruned():
@@ -230,6 +259,6 @@ def test_benchmark_compare_pairs_are_pruned():
             assert f"status:{result.status}" == workloads.KNOWN_COMPARE_DEFECTS[name]
         else:
             assert result.status == status
-        assert result.found or (result.rejected > 0) == groupoids_iso
+        assert result.groupoids_isomorphic == groupoids_iso
         seen[name] = result.nodes_visited
     assert seen == COMPARE_NODES
