@@ -172,6 +172,9 @@ class TwistIsoResult(IsoResult):
 
     groupoids_isomorphic: bool | None = None
 
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "groupoids_isomorphic": self.groupoids_isomorphic}
+
 
 def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = 10**6) -> TwistIsoResult:
     """Search for an isomorphism of the twists defined by two cocycles.
@@ -564,8 +567,7 @@ def is_positive(a: AlgebraElement) -> bool:
     return True
 
 
-def check_reduced_norm_formula(a: AlgebraElement, trials: int = 500,
-                               rng: np.random.Generator | None = None) -> dict:
+def check_reduced_norm_formula(a: AlgebraElement, trials: int, rng: np.random.Generator) -> dict:
     """Probe the norm formula sup ||E(c* a* a c)||_inf^(1/2) over ||E(c*c)|| <= 1.
 
     Runs two families of test vectors c: unconstrained random elements
@@ -576,7 +578,6 @@ def check_reduced_norm_formula(a: AlgebraElement, trials: int = 500,
     so it is independent of the singular-value computation it checks.
     """
     ctx = a.ctx
-    rng = rng if rng is not None else np.random.default_rng(0)
     norm = cstar_norm(a)
     gpd = ctx.groupoid
 

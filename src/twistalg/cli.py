@@ -130,16 +130,9 @@ def _load_report(path: str, name: str) -> Cocycle:
 def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]:
     iso = twists_isomorphic(_load_report(path_a, "A"), _load_report(path_b, "B"),
                             config.iso_budget)
-    if iso.status == "inconclusive":
-        result, code = {"status": "inconclusive"}, EXIT_INCONCLUSIVE
-    elif iso.found:
-        result = {"status": "isomorphic", "mapping": dict(sorted(iso.mapping.items()))}
-        code = EXIT_PASS
-    else:
-        result = {"status": "not_isomorphic", "groupoids_isomorphic": iso.groupoids_isomorphic}
-        code = EXIT_FAIL
-    result["nodes_visited"] = iso.nodes_visited
-    return {"result": result}, code
+    code = {"isomorphic": EXIT_PASS, "not_isomorphic": EXIT_FAIL,
+            "inconclusive": EXIT_INCONCLUSIVE}[iso.status]
+    return {"result": iso.to_dict()}, code
 
 
 # Runners in `--suite all` order; each looks its suite function up by name when called.

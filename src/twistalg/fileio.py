@@ -71,7 +71,7 @@ def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
     return Cocycle(groupoid, values)
 
 
-def load_groupoid_file(path: str | Path, name: str | None = None):
+def load_groupoid_file(path: str | Path):
     """Parse a groupoid file into (groupoid, cocycle); no axiom checking here.
 
     Raises json.JSONDecodeError (with position) on syntax errors and
@@ -80,7 +80,7 @@ def load_groupoid_file(path: str | Path, name: str | None = None):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise InputError("groupoid file must contain a JSON object")
-    gpd = groupoid_from_dict(doc, name)
+    gpd = groupoid_from_dict(doc)
     cocycle = cocycle_from_dict(gpd, doc.get("cocycle", {}))
     return gpd, cocycle
 
@@ -92,10 +92,6 @@ def context_to_dict(ctx: TwistedAlgebra) -> dict:
     if cocycle:
         doc["cocycle"] = cocycle
     return doc
-
-
-def save_context(ctx: TwistedAlgebra, path: str | Path) -> None:
-    Path(path).write_text(dumps(context_to_dict(ctx)), encoding="utf-8")
 
 
 def load_element(path: str | Path, ctx: TwistedAlgebra) -> AlgebraElement:

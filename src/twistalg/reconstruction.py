@@ -110,7 +110,7 @@ def ultrafilter_product(t: Ultrafilter, u: Ultrafilter) -> Ultrafilter | None:
     return Ultrafilter(t.ctx, prod[1])
 
 
-def basic_set(ctx: TwistedAlgebra, n: AlgebraElement) -> frozenset[str]:
+def basic_set(n: AlgebraElement) -> frozenset[str]:
     """The basic open set of ultrafilters containing n, as a set of points."""
     return frozenset(n.support())
 
@@ -259,7 +259,7 @@ def recover_cocycle(ctx: TwistedAlgebra) -> tuple[Cocycle, float]:
         val = angle(u, ctx.delta(g) * ctx.delta(h), ctx.delta(gh))
         residual = max(residual, abs(val - ctx.cocycle(g, h).complex))
         values[(g, h)] = Phase.from_complex(val, grid)
-    recovered = Cocycle(gpd, {k: v for k, v in values.items() if v.turns != 0})
+    recovered = Cocycle(gpd, values)
     return recovered, residual
 
 
@@ -324,7 +324,7 @@ def product_criterion_report(ctx: TwistedAlgebra, rng) -> dict:
     for _ in range(40):
         m = random_monomial(ctx, rng)
         n = random_monomial(ctx, rng)
-        if basic_set(ctx, m * n) != subset_product(gpd, m.support(), n.support()):
+        if basic_set(m * n) != subset_product(gpd, m.support(), n.support()):
             identity_ok, id_witness = False, (repr(m), repr(n))
             break
     return {
@@ -349,7 +349,7 @@ def unit_space_report(ctx: TwistedAlgebra, rng) -> dict:
     bg0_ok = True
     for _ in range(samples):
         n = random_monomial(ctx, rng)
-        lhs = basic_set(ctx, diagonal(n))
+        lhs = basic_set(diagonal(n))
         rhs = {g for g in n.support() if gpd.is_unit(g)}
         if lhs != frozenset(rhs):
             en_ok = False
@@ -407,7 +407,7 @@ def domination_inclusion_report(ctx: TwistedAlgebra, rng) -> dict:
             m = AlgebraElement(ctx, {g: n.coeff(g) * (1 + rng.random()) for g in keep})
         else:
             m = random_monomial(ctx, rng)
-        inclusion = basic_set(ctx, m) <= basic_set(ctx, n)
+        inclusion = basic_set(m) <= basic_set(n)
         if (dominates(m, n) is not None) != inclusion:
             ok, witness = False, (repr(m), repr(n))
             break
@@ -649,7 +649,7 @@ def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
         rebuilt, label = rebuild_groupoid(ctx, spec)
         axioms = validate_groupoid(rebuilt)
         iso = groupoids_isomorphic(ctx.groupoid, rebuilt, iso_budget)
-        return (rebuilt.to_dict(), label, iso.to_dict(),
+        return (rebuilt, label, iso.to_dict(),
                 {"passed": axioms.ok, "violations": [v.to_dict() for v in axioms.violations]})
 
     def summable_image():
@@ -684,10 +684,9 @@ def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
     rebuilt, label, iso, rebuilt_axioms = out.pop("rebuild")
     recovered, residual = out.pop("recover_cocycle")
     summable = out.pop("summable_image")
-    rebuilt_cocycle = {
-        f"{label[g]}|{label[h]}": {"turns": [p.turns.numerator, p.turns.denominator]}
-        for (g, h), p in sorted(recovered.values.items())
-    }
+    # Each relabelled pair was formed by recover_cocycle, so the rebuilt table holds it.
+    rebuilt_cocycle = Cocycle(rebuilt, {(label[g], label[h]): p
+                                        for (g, h), p in recovered.values.items()})
     # The stages left are the theorem reports; they go in in report order.
     theorems = {"rebuilt_groupoid_axioms": rebuilt_axioms, **{n: out[n] for n in stages if n in out}}
 
@@ -698,8 +697,8 @@ def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
         cartan=cartan.to_dict(),
         isomorphism=iso,
         cocycle_residual=residual,
-        recovered_cocycle=rebuilt_cocycle,
-        rebuilt_groupoid=rebuilt,
+        recovered_cocycle=rebuilt_cocycle.to_dict(),
+        rebuilt_groupoid=rebuilt.to_dict(),
         theorems=theorems,
         summable_image=summable,
     )

@@ -285,8 +285,7 @@ class CartanReport:
 
     @property
     def cartan(self) -> bool:
-        return (self.star_semigroup and self.dense_span
-                and self.positive_cone_commutative and self.b_contained and self.stable)
+        return not self.failures()
 
     def failures(self) -> list[str]:
         out = []

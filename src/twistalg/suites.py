@@ -22,7 +22,7 @@ from .algebra import (
     max_coeff_diff,
     regular_representation,
 )
-from .errors import InputError
+from .errors import ConsistencyError
 from .groupoid import all_bisections
 from .masa import (
     cartan_criterion,
@@ -69,11 +69,11 @@ def _random_restriction(n: AlgebraElement, rng, rescale: bool = False) -> Algebr
 # -- relations ---------------------------------------------------------------------
 
 
-def relations_suite(ctx: TwistedAlgebra, seed: int = 42, pairs: int = 200,
-                    cases: int = 100) -> dict:
+def relations_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
     """Restriction and domination laws, witness calculus, ball and predomain
     certificates."""
     rng = substream(seed, "relations", ctx.name)
+    pairs, cases = 200, 100
     out: dict = {"context": ctx.name}
 
     # Oracle agreement on mixed monomial pairs: dominates() checks its
@@ -217,7 +217,7 @@ def _max_restriction_bound(n: AlgebraElement) -> AlgebraElement:
             coeffs[u] = c
     candidate = AlgebraElement(ctx, coeffs)
     if restriction_witness(candidate, n) is None:
-        raise InputError("maximal restriction candidate failed its own test")
+        raise ConsistencyError("maximal restriction candidate failed its own test")
     return candidate
 
 

@@ -140,7 +140,7 @@ def test_criterion_3_cartan_axiom_suite(ctxs):
 
 def test_criterion_4_relation_oracles(ctxs):
     for name, ctx in ctxs.items():
-        out = relations_suite(ctx, seed=SEED, pairs=200, cases=100)
+        out = relations_suite(ctx, seed=SEED)
         assert out["oracle_pairs"] >= 200, name
         assert out["oracle_disagreements"] == 0, name
         for law in ("partial_order_ok", "auxiliarity_ok", "expectation_invariance_ok",
@@ -185,15 +185,15 @@ def test_criterion_7_ultrafilter_groupoid_laws(ctxs):
                                               ultrafilter_at(ctx, b)) is not None
                 assert defined == (not (ctx.delta(a) * ctx.delta(b)).is_zero()), (name, a, b)
                 # basic-set product identity on the same pairs
-                lhs = basic_set(ctx, ctx.delta(a) * ctx.delta(b))
+                lhs = basic_set(ctx.delta(a) * ctx.delta(b))
                 prod = gpd.product(a, b)
                 assert lhs == (frozenset([prod]) if prod else frozenset())
         # diagonal iff basic set inside the units, over every bisection pattern
         for pattern in all_bisections(gpd):
             elem = ctx.element({g: 1 + 0j for g in pattern})
-            assert (basic_set(ctx, elem) <= set(gpd.units)) == is_diagonal(elem)
-            e_sets = basic_set(ctx, diagonal(elem))
-            assert e_sets == basic_set(ctx, elem) & frozenset(gpd.units)
+            assert (basic_set(elem) <= set(gpd.units)) == is_diagonal(elem)
+            e_sets = basic_set(diagonal(elem))
+            assert e_sets == basic_set(elem) & frozenset(gpd.units)
         # additive primeness and the complement map, exhaustively on deltas
         for g in gpd.elements:
             u = ultrafilter_at(ctx, g)

@@ -198,13 +198,13 @@ def test_norm_faithful(r3, v4_pauli, rng):
 
 
 def test_reduced_norm_formula_unit(r2):
-    rep = check_reduced_norm_formula(r2.delta("(1,1)"), trials=50)
+    rep = check_reduced_norm_formula(r2.delta("(1,1)"), trials=50, rng=np.random.default_rng(0))
     assert abs(rep["monte_carlo_best"] - 1) < 1e-6
     assert rep["upper_bound_ok"]
 
 
 def test_reduced_norm_formula_zero(r2):
-    rep = check_reduced_norm_formula(r2.zero(), trials=10)
+    rep = check_reduced_norm_formula(r2.zero(), trials=10, rng=np.random.default_rng(0))
     assert rep["operator_norm"] == 0 and rep["monte_carlo_best"] == 0
 
 

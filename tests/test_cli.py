@@ -16,10 +16,10 @@ from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import ConsistencyError, InputError, NotCartanError
 from twistalg.fileio import (
     context_to_dict,
+    dumps,
     load_basis,
     load_element,
     load_groupoid_file,
-    save_context,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -270,7 +270,7 @@ def test_fixture_files_match_constructors():
 def test_groupoid_file_roundtrip(tmp_path):
     ctx = standard_contexts()["V4_pauli"]
     path = tmp_path / "ctx.json"
-    save_context(ctx, path)
+    path.write_text(dumps(context_to_dict(ctx)), encoding="utf-8")
     gpd, cocycle = load_groupoid_file(path)
     assert set(gpd.elements) == set(ctx.groupoid.elements)
     assert cocycle.values == ctx.cocycle.values
@@ -542,6 +542,18 @@ def test_consistency_errors_exit_4(case, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "consistency" and error["message"] == CONSISTENCY_MESSAGES[case]
     assert "np." not in error["message"]
+
+
+def test_a_maximal_restriction_that_fails_its_own_test_exits_4(monkeypatch, capsys):
+    """The expectation suite builds max{b diagonal : b below n} from the restriction
+    test; a candidate that test then rejects is two routes disagreeing, not bad input."""
+    from twistalg import suites
+
+    monkeypatch.setattr(suites, "restriction_witness", lambda m, n: None)
+    assert run("suite", FIXDIR / "z2.json", "--suite", "expectation") == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "consistency",
+                     "message": "maximal restriction candidate failed its own test"}
 
 
 def test_relations_suite_passes_on_r2_at_a_coarse_tolerance(capsys):

@@ -314,7 +314,7 @@ def _full_product_criterion(ctx, rng):
     for _ in range(40):
         m = random_monomial(ctx, rng)
         n = random_monomial(ctx, rng)
-        if basic_set(ctx, m * n) != reconstruction.subset_product(gpd, m.support(), n.support()):
+        if basic_set(m * n) != reconstruction.subset_product(gpd, m.support(), n.support()):
             identity_ok, id_witness = False, (repr(m), repr(n))
             break
     return {
@@ -379,8 +379,8 @@ def test_unit_ultrafilter_counts(z4, r2):
     assert sum(ultrafilter_at(z4, g).meets_diagonal() for g in z4.groupoid.elements) == 1
     assert sum(ultrafilter_at(r2, g).meets_diagonal() for g in r2.groupoid.elements) == 2
     # the basic set of E(delta_(1,2)) is empty, matching U_n restricted to units
-    assert basic_set(r2, diagonal(r2.delta("(1,2)"))) == frozenset()
-    assert basic_set(r2, r2.one()) == frozenset(r2.groupoid.units)
+    assert basic_set(diagonal(r2.delta("(1,2)"))) == frozenset()
+    assert basic_set(r2.one()) == frozenset(r2.groupoid.units)
 
 
 def test_source_state_examples(r2):
@@ -613,4 +613,4 @@ def test_domination_matches_basic_set_containment(r3, rng):
         n = random_monomial(r3, rng)
         m = _random_restriction(n, rng, rescale=True) if rng.random() < 0.5 \
             else random_monomial(r3, rng)
-        assert (dominates(m, n) is not None) == (basic_set(r3, m) <= basic_set(r3, n))
+        assert (dominates(m, n) is not None) == (basic_set(m) <= basic_set(n))

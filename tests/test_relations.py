@@ -540,7 +540,7 @@ def test_general_restriction_on_nonmonomials(z4):
 
 def test_relations_suite_passes(r2, z4):
     for ctx in (r2, z4):
-        out = relations_suite(ctx, seed=11, pairs=60, cases=40)
+        out = relations_suite(ctx, seed=11)
         assert out["passed"], out
 
 
@@ -580,7 +580,7 @@ def test_relations_suite_certifies_each_ball_witness_once(monkeypatch, r2):
 
         for module in (relations, suites):
             monkeypatch.setattr(module, name, counting, raising=False)
-    assert relations_suite(r2, pairs=10, cases=20)["passed"]
+    assert relations_suite(r2)["passed"]
     assert counts["_ball_certificate"] > 0
     assert counts["_ball_checks"] == counts["_ball_certificate"]
     assert counts["verify_ball_certificate"] == 0
@@ -604,6 +604,6 @@ def test_relations_suite_certifies_each_pair_once(monkeypatch, r3):
 
     for module in (relations, suites):
         monkeypatch.setattr(module, "dominates", once)
-    out = relations_suite(r3, seed=5, pairs=20, cases=40)
+    out = relations_suite(r3, seed=5)
     assert out["passed"] and out["ball_witness_cases"] > 0 and out["predomain_cases"] > 0
     assert repeats == []

@@ -4,6 +4,7 @@ verdicts stay those of the unpruned search."""
 
 import importlib.util
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from twistalg.algebra import (
     standard_contexts,
     twists_isomorphic,
 )
+from twistalg.cli import main
 from twistalg.groupoid import (
     BudgetExhausted,
     FiniteGroupoid,
@@ -175,7 +177,8 @@ EQUAL_ORDER_PAIRS = [(a, b) for a, b in itertools.product(COCYCLES, repeat=2)
                      and {a, b} != {"Z4xZ4", "Z4sdZ4"}]
 
 
-@pytest.mark.parametrize("a, b", EQUAL_ORDER_PAIRS, ids="-vs-".join)
+@pytest.mark.parametrize("a, b", EQUAL_ORDER_PAIRS,
+                         ids=[f"{a}-vs-{b}" for a, b in EQUAL_ORDER_PAIRS])
 def test_fixture_pairs_match_the_unpruned_oracle(a, b):
     _assert_matches_oracle(COCYCLES[a], COCYCLES[b])
 
@@ -232,6 +235,28 @@ def test_one_budget_bounds_the_walk(a, b):
     short = twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited - 1)
     assert short.status == "inconclusive" and short.mapping is None
     assert twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited) == full
+
+
+
+@pytest.mark.parametrize("a, b, budget, groupoids_iso", [
+    ("V4", "V4_pauli", 10, True),  # the walk meets a groupoid isomorphism at node 4
+    ("V4", "V4_pauli", 3, None),
+    ("Z4xZ4", "Z4sdZ4", 600, None),  # there is no groupoid isomorphism to meet
+], ids=["V4-vs-V4_pauli-10", "V4-vs-V4_pauli-3", "Z4xZ4-vs-Z4sdZ4-600"])
+def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, groupoids_iso, tmp_path):
+    """compare writes the whole TwistIsoResult: out of budget, it still says whether
+    the walk met a groupoid isomorphism, and null only when it met none."""
+    reports = []
+    for name in (a, b):
+        reports.append(tmp_path / f"{name}.json")
+        reports[-1].write_text(json.dumps({"reconstruction": {
+            "rebuilt_groupoid": COCYCLES[name].groupoid.to_dict(),
+            "recovered_cocycle": COCYCLES[name].to_dict()}}))
+    out = tmp_path / "cmp.json"
+    assert main(["compare", *map(str, reports), "--iso-budget", str(budget), "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["result"] == {
+        "status": "inconclusive", "mapping": None, "nodes_visited": budget,
+        "groupoids_isomorphic": groupoids_iso}
 
 
 def _load_workloads():
