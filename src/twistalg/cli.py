@@ -20,17 +20,11 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .algebra import Cocycle, TwistedAlgebra, twists_isomorphic
+from . import __version__
+from .algebra import TwistedAlgebra, twists_isomorphic
 from .errors import ConsistencyError, InputError, NotCartanError
-from .fileio import (
-    cocycle_from_dict,
-    content_hash,
-    dumps,
-    groupoid_from_dict,
-    load_basis,
-    load_groupoid_file,
-)
-from .groupoid import table_violations, validate_groupoid
+from .fileio import _load_report, content_hash, dumps, load_basis, load_groupoid_file
+from .groupoid import validate_groupoid
 from .reconstruction import reconstruct
 from .semigroups import SemigroupSpec
 from .suites import (
@@ -41,8 +35,6 @@ from .suites import (
     relations_suite,
     states_suite,
 )
-
-VERSION = "0.1.0"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,12 +52,9 @@ class RunConfig:
 
 
 def _envelope(paths: list[str], config: RunConfig) -> dict:
-    doc = {"tool": {"name": "twistalg", "version": VERSION}, "config": asdict(config)}
+    doc = {"tool": {"name": "twistalg", "version": __version__}, "config": asdict(config)}
     inputs = [{"name": Path(p).name, "sha256": content_hash(p)} for p in paths]
-    if len(inputs) == 1:
-        doc["input"] = inputs[0]
-    else:
-        doc["inputs"] = inputs
+    doc.update({"input": inputs[0]} if len(inputs) == 1 else {"inputs": inputs})
     return doc
 
 
@@ -112,19 +101,6 @@ def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
     else:
         code = EXIT_PASS if report.passed else EXIT_FAIL
     return {"reconstruction": report.to_dict()}, code
-
-
-def _load_report(path: str, name: str) -> Cocycle:
-    """The recovered cocycle of a report, on its rebuilt groupoid with checked tables."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    rec = doc.get("reconstruction") if isinstance(doc, dict) else None
-    if not isinstance(rec, dict) or "rebuilt_groupoid" not in rec or "recovered_cocycle" not in rec:
-        raise InputError(f"{path} is not a reconstruction report with a rebuilt groupoid")
-    gpd = groupoid_from_dict(rec["rebuilt_groupoid"], name)
-    bad = table_violations(gpd)
-    if bad:
-        raise InputError(f"{path}: invalid rebuilt groupoid: {bad[0].message}")
-    return cocycle_from_dict(gpd, rec["recovered_cocycle"])
 
 
 def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]:
@@ -264,12 +240,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 for --help
         return exc.code
-    config = RunConfig(
-        tolerance=args.tol,
-        seed=args.seed,
-        iso_budget=args.iso_budget,
-        semigroup=getattr(args, "semigroup", "monomial"),
-    )
+    config = RunConfig(tolerance=args.tol, seed=args.seed, iso_budget=args.iso_budget,
+                       semigroup=getattr(args, "semigroup", "monomial"))
     if not (math.isfinite(config.tolerance) and config.tolerance > 0):
         sys.stderr.write("tolerance must be a finite positive number\n")
         return EXIT_INPUT
@@ -297,7 +269,7 @@ def main(argv=None) -> int:
         except NotCartanError as exc:
             body = {"error": {"kind": "not-cartan", "failures": list(exc.failures)}}
             code = EXIT_FAIL
-        except (InputError, UnicodeDecodeError) as exc:
+        except InputError as exc:
             body, code = {"error": {"kind": "input", "message": str(exc)}}, EXIT_INPUT
         except ConsistencyError as exc:
             body, code = {"error": {"kind": "consistency", "message": str(exc)}}, EXIT_CONSISTENCY

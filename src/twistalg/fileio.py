@@ -1,4 +1,4 @@
-"""JSON file formats.
+"""JSON file formats, all read through `read_object`.
 
 Groupoid file: {"name": str?, "elements": [...], "units": [...],
 "source"/"range"/"inverse": {element: element},
@@ -7,12 +7,18 @@ with absent cocycle entries meaning phase 1.
 
 Algebra element file: {"coeffs": {element: [re, im]}}.
 Bisection basis file: {"bisections": [[element, ...], ...]}.
+Reconstruction report, as `reconstruct` writes it: {"reconstruction":
+{"rebuilt_groupoid": <groupoid tables>, "recovered_cocycle": {"g|h":
+{"turns": [p, q]}}, ...}, ...}; `compare` reads these two fields.
+A field of another JSON type than these is refused by name, not coerced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import stat
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,12 +26,44 @@ import numpy as np
 
 from .algebra import AlgebraElement, Cocycle, Phase, TwistedAlgebra
 from .errors import InputError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, table_violations
 from .semigroups import BisectionBasis
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null or missing"}
+
+
+def _regular_file(path: str | Path) -> Path:
+    """path, unless it is not a regular file: a device or a pipe is read without end."""
+    path = Path(path)
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise OSError(f"{path}: not a regular file")
+    return path
 
 
 def content_hash(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_regular_file(path).read_bytes()).hexdigest()
+
+
+def read_object(path: str | Path, what: str) -> dict:
+    """The top-level object of the JSON file at path, which `what` names in errors.
+    Raises json.JSONDecodeError on a syntax error, OSError on a path that is not a
+    regular file, and InputError on text that is not UTF-8, nesting too deep to
+    parse or a top level that is not an object."""
+    try:
+        doc = json.loads(_regular_file(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{what} is nested too deeply to parse") from None
+    return _typed(doc, dict, what)
+
+
+def _typed(value, kind: type, name: str):
+    """value, refused by name unless its JSON type is kind (dict or list)."""
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be {_JSON_TYPES[kind]}, not {_JSON_TYPES[type(value)]}")
+    return value
 
 
 def _split_pair(key: str) -> tuple[str, str]:
@@ -35,89 +73,78 @@ def _split_pair(key: str) -> tuple[str, str]:
     return g, h
 
 
-def groupoid_from_dict(doc: dict, name: str | None = None) -> FiniteGroupoid:
-    try:
-        elements = list(doc["elements"])
-        units = list(doc["units"])
-        source = dict(doc["source"])
-        range_ = dict(doc["range"])
-        inverse = dict(doc["inverse"])
-        compose_raw = dict(doc.get("compose", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"groupoid document is missing a table: {exc}") from exc
+def groupoid_from_dict(doc: dict, what: str, name: str | None = None) -> FiniteGroupoid:
+    elements, units = (_typed(doc.get(k), list, f"{what}'s {k!r}") for k in ("elements", "units"))
+    source, range_, inverse = (_typed(doc.get(k), dict, f"{what}'s {k!r}")
+                               for k in ("source", "range", "inverse"))
+    compose_raw = _typed(doc.get("compose", {}), dict, f"{what}'s 'compose'")
     for e in elements:
         if "|" in str(e):
             raise InputError(f"element id {e!r} may not contain '|'")
     compose = {_split_pair(k): v for k, v in compose_raw.items()}
-    return FiniteGroupoid(
-        name or doc.get("name", "groupoid"), elements, units, source, range_, inverse, compose
-    )
+    return FiniteGroupoid(name or doc.get("name", "groupoid"), elements, units, source, range_,
+                          inverse, compose)
 
 
 def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
-    if not isinstance(doc or {}, dict):
-        raise InputError("cocycle must be an object keyed by 'g|h'")
     values = {}
-    for key, entry in (doc or {}).items():
+    for key, entry in doc.items():
         g, h = _split_pair(key)
         try:
             p, q = entry["turns"]
             if type(p) is not int or type(q) is not int:  # bool is an int subclass
                 raise TypeError(f"turns must be two integers, not {[p, q]!r}")
-            phase = Phase(Fraction(p, q) % 1)
+            values[(g, h)] = Phase(Fraction(p, q) % 1)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad cocycle entry for {key!r}: {exc}") from exc
-        values[(g, h)] = phase
     return Cocycle(groupoid, values)
 
 
 def load_groupoid_file(path: str | Path):
     """Parse a groupoid file into (groupoid, cocycle); no axiom checking here.
+    An absent or null cocycle is the trivial one."""
+    doc = read_object(path, "groupoid file")
+    gpd = groupoid_from_dict(doc, "groupoid file")
+    cocycle = doc.get("cocycle")
+    return gpd, cocycle_from_dict(
+        gpd, {} if cocycle is None else _typed(cocycle, dict, "groupoid file's 'cocycle'"))
 
-    Raises json.JSONDecodeError (with position) on syntax errors and
-    InputError on structural problems.
-    """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise InputError("groupoid file must contain a JSON object")
-    gpd = groupoid_from_dict(doc)
-    cocycle = cocycle_from_dict(gpd, doc.get("cocycle", {}))
-    return gpd, cocycle
+
+def _load_report(path: str | Path, name: str) -> Cocycle:
+    """The recovered cocycle of a report, on its rebuilt groupoid with checked tables."""
+    what = f"report {path}"
+    rec = _typed(read_object(path, what).get("reconstruction"), dict, f"{what}'s 'reconstruction'")
+    tables, cocycle = (_typed(rec.get(k), dict, f"{what}'s {k!r}")
+                       for k in ("rebuilt_groupoid", "recovered_cocycle"))
+    gpd = groupoid_from_dict(tables, f"{what}'s rebuilt groupoid", name)
+    bad = table_violations(gpd)
+    if bad:
+        raise InputError(f"{path}: invalid rebuilt groupoid: {bad[0].message}")
+    return cocycle_from_dict(gpd, cocycle)
 
 
 def context_to_dict(ctx: TwistedAlgebra) -> dict:
-    doc = ctx.groupoid.to_dict()
-    doc["name"] = ctx.name
-    cocycle = ctx.cocycle.to_dict()
-    if cocycle:
-        doc["cocycle"] = cocycle
-    return doc
+    doc, cocycle = {**ctx.groupoid.to_dict(), "name": ctx.name}, ctx.cocycle.to_dict()
+    return {**doc, "cocycle": cocycle} if cocycle else doc
 
 
 def load_element(path: str | Path, ctx: TwistedAlgebra) -> AlgebraElement:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        raw = dict(doc["coeffs"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"element file needs a 'coeffs' object: {exc}") from exc
+    raw = _typed(read_object(path, "element file").get("coeffs"), dict, "element file's 'coeffs'")
     coeffs = {}
     for g, pair in raw.items():
         ctx.groupoid.check_element(g)
-        try:
-            re, im = pair
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"coefficient for {g!r} must be [re, im]") from exc
-        coeffs[g] = complex(float(re), float(im))
+        # Two finite JSON numbers: the bound refuses NaN, infinities and huge ints.
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair)):
+            raise InputError(f"coefficient for {g!r} must be [re, im], two finite numbers")
+        coeffs[g] = complex(*pair)
     return AlgebraElement(ctx, coeffs)
 
 
 def load_basis(path: str | Path, ctx: TwistedAlgebra) -> BisectionBasis:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        members = [list(m) for m in doc["bisections"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"basis file needs a 'bisections' array: {exc}") from exc
-    return BisectionBasis(ctx.groupoid, members)
+    doc = read_object(path, "basis file")
+    members = _typed(doc.get("bisections"), list, "basis file's 'bisections'")
+    return BisectionBasis(ctx.groupoid, [_typed(m, list, "each basis member") for m in members])
 
 
 def _jsonable(x):

@@ -247,22 +247,25 @@ def subset_inverse(g: FiniteGroupoid, o) -> frozenset[str]:
     return frozenset(g.inverse[a] for a in o)
 
 
-def all_bisections(g: FiniteGroupoid) -> list[frozenset[str]]:
-    """Every bisection of g, by backtracking over the element order."""
-    out: list[frozenset[str]] = []
+def iter_bisections(g: FiniteGroupoid):
+    """Every bisection of g, lazily, by backtracking over the element order."""
     elems = g.elements
 
     def extend(i, chosen, used_s, used_r):
-        out.append(frozenset(chosen))
+        yield frozenset(chosen)
         for j in range(i, len(elems)):
             e = elems[j]
             s, r = g.source[e], g.range[e]
             if s in used_s or r in used_r:
                 continue
-            extend(j + 1, chosen + [e], used_s | {s}, used_r | {r})
+            yield from extend(j + 1, chosen + [e], used_s | {s}, used_r | {r})
 
-    extend(0, [], set(), set())
-    return out
+    return extend(0, [], set(), set())
+
+
+def all_bisections(g: FiniteGroupoid) -> list[frozenset[str]]:
+    """Every bisection of g, in iter_bisections' order."""
+    return list(iter_bisections(g))
 
 
 def is_effective(g: FiniteGroupoid) -> bool:
@@ -381,10 +384,6 @@ class IsoResult:
     status: str
     mapping: dict[str, str] | None = None
     nodes_visited: int = 0
-
-    @property
-    def found(self) -> bool:
-        return self.status == "isomorphic"
 
     def to_dict(self) -> dict:
         return {

@@ -28,7 +28,7 @@ from .algebra import (
     max_coeff_diff,
 )
 from .errors import ConsistencyError, InputError
-from .groupoid import all_bisections, is_bisection, subset_inverse, subset_product
+from .groupoid import is_bisection, iter_bisections, subset_inverse, subset_product
 
 EXHAUSTIVE_SWEEP_ELEMENTS = 6  # support sweeps cover every pattern up to this size
 SWEEP_PATTERN_CAP = 250  # bisection patterns in the summability pair sweep
@@ -306,10 +306,10 @@ class CartanReport:
 
 
 def _bisection_pattern_pairs(ctx, spec):
-    """The first SWEEP_PATTERN_CAP unit-coefficient bisection members, for pair sweeps."""
-    patterns = [p for p in all_bisections(ctx.groupoid) if p]
+    """The first SWEEP_PATTERN_CAP unit-coefficient bisection members, for pair sweeps;
+    bisections are drawn lazily and no more than that are listed."""
     out = []
-    for p in patterns:
+    for p in filter(None, iter_bisections(ctx.groupoid)):
         elem = AlgebraElement(ctx, {g: 1 + 0j for g in p})
         if membership(spec, elem):
             out.append(elem)

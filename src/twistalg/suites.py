@@ -343,9 +343,7 @@ def norms_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
 # -- cartan, states, masa -------------------------------------------------------------
 
 
-def cartan_suite(ctx: TwistedAlgebra, seed: int = 42,
-                 spec: SemigroupSpec | None = None) -> dict:
-    spec = spec if spec is not None else SemigroupSpec.monomial(ctx)
+def cartan_suite(ctx: TwistedAlgebra, seed: int, spec: SemigroupSpec) -> dict:
     report = check_cartan(spec, substream(seed, "cartan", ctx.name, spec.kind))
     out = report.to_dict()
     out["context"] = ctx.name

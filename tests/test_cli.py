@@ -3,6 +3,8 @@ import functools
 import json
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,16 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twistalg
 from twistalg import FiniteGroupoid, standard_contexts
 from twistalg import algebra, cli, reconstruction
 from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import ConsistencyError, InputError, NotCartanError
 from twistalg.fileio import (
+    content_hash,
     context_to_dict,
     dumps,
     load_basis,
     load_element,
     load_groupoid_file,
+    read_object,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -412,6 +417,48 @@ for _label, _turns in _BAD_TURNS.items():
     })
 
 
+# 1,000 nested arrays in 2 KB: past the parser's recursion limit, for every reader.
+DEEP = "[" * 1000 + "]" * 1000
+
+
+def _deep(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    return path
+
+
+def _report_field(key, value):
+    """A report mutation: the reconstruction's field key set to value."""
+    def mutate(text):
+        doc = json.loads(text)
+        doc["reconstruction"][key] = value
+        return json.dumps(doc)
+    return mutate
+
+
+CONTRACT_CASES.update({
+    "validate-deep": (lambda t: ["validate", _deep(t)], "input"),
+    "reconstruct-deep": (lambda t: ["reconstruct", _deep(t)], "input"),
+    "suite-deep": (lambda t: ["suite", _deep(t)], "input"),
+    "reconstruct-basis-deep": (
+        lambda t: ["reconstruct", FIXDIR / "r2.json", "--semigroup", f"basis:{_deep(t)}"], "input"),
+    "compare-deep": (lambda t: _compare_with_good(t, lambda text: DEEP), "input"),
+    # A field of the wrong JSON type is refused, not coerced.
+    "validate-elements-string": (lambda t: ["validate", _with_table(t, "elements", "01")], "input"),
+    "validate-source-pairs": (
+        lambda t: ["validate", _with_table(t, "source", [["0", "0"], ["1", "0"]])], "input"),
+    "validate-cocycle-empty-list": (lambda t: ["validate", _with_table(t, "cocycle", [])], "input"),
+    "reconstruct-basis-member-string": (
+        lambda t: ["reconstruct", FIXDIR / "r2.json", "--semigroup",
+                   f"basis:{_write_json(t / 'basis.json', {'bisections': ['(1,2)']})}"], "input"),
+    "compare-recovered-cocycle-null": (
+        lambda t: _compare_with_good(t, _report_field("recovered_cocycle", None)), "input"),
+    "compare-rebuilt-groupoid-list": (
+        lambda t: _compare_with_good(t, _report_field("rebuilt_groupoid", [])), "input"),
+    "compare-top-level-list": (lambda t: _compare_with_good(t, lambda text: "[]"), "input"),
+})
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_contract_escapes_are_input_errors(case, tmp_path, capsys):
     argv, kind = CONTRACT_CASES[case]
@@ -423,6 +470,52 @@ def test_contract_escapes_are_input_errors(case, tmp_path, capsys):
         assert out == ""
     else:
         assert json.loads(out)["error"]["kind"] == kind
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need POSIX")
+@pytest.mark.parametrize("where", ["input", "basis"])
+def test_a_named_pipe_is_refused_without_blocking(where, tmp_path):
+    """A path that is not a regular file ends like a missing one: one stderr line,
+    no report, exit 2.  A subprocess, so that a reader that blocks fails the test."""
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    argv = (["validate", fifo] if where == "input" else
+            ["reconstruct", FIXDIR / "r2.json", "--semigroup", f"basis:{fifo}"])
+    src = str(Path(twistalg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "twistalg.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"{fifo}: not a regular file\n"
+
+
+def test_a_null_cocycle_is_untwisted(tmp_path):
+    assert run("validate", _with_table(tmp_path, "cocycle", None)) == 0
+
+
+def test_the_reader_refuses_what_is_not_a_regular_file(tmp_path):
+    with pytest.raises(OSError, match="not a regular file"):
+        content_hash(os.devnull)
+    with pytest.raises(OSError, match="not a regular file"):
+        read_object(tmp_path, "report")
+
+
+@pytest.mark.parametrize("pair", [["nan", 0], [True, 0], ["abc", 0], [0, None], [1], [1, 2, 3],
+                                  "10", {"re": 1, "im": 0}, [float("nan"), 0], [1e308 * 10, 0],
+                                  [10**400, 0]], ids=repr)
+def test_element_coefficients_are_two_finite_numbers(pair, tmp_path):
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps({"coeffs": {"(1,2)": pair}}))
+    with pytest.raises(InputError, match="must be \\[re, im\\], two finite numbers"):
+        load_element(path, standard_contexts()["R2"])
+
+
+def _nested(draw, text):
+    """text in some draws inside as many arrays as the recursion limit: a depth that
+    json.dumps cannot write and the parser cannot read.  DEEP's 1,000 would not do
+    here, since Hypothesis raises the limit by about 1,000 while a test runs."""
+    depth = sys.getrecursionlimit()
+    return "[" * depth + text + "]" * depth if draw(st.integers(0, 7)) == 0 else text
 
 
 _REPLACEMENTS = (None, True, 0, -1, 2.5, "", "x", "a|b", [], ["x", 1], {}, {"turns": [1, 0]})
@@ -443,7 +536,7 @@ def _json_paths(doc, prefix=()):
 @st.composite
 def mutated_groupoid_files(draw):
     """A fixture's text after dropped keys, swapped value types, table values set to
-    another element id of the file, or truncation."""
+    another element id of the file, truncation, or deep nesting."""
     doc = json.loads((FIXDIR / draw(st.sampled_from(["z2.json", "r2.json"]))).read_text())
     for _ in range(draw(st.integers(0, 3))):
         tables = [t for t in _ID_TABLES if isinstance(doc.get(t), dict) and doc[t]]
@@ -467,7 +560,7 @@ def mutated_groupoid_files(draw):
     text = json.dumps(doc)
     if draw(st.booleans()):
         text = text[:draw(st.integers(0, len(text)))]
-    return text
+    return _nested(draw, text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -492,7 +585,7 @@ def _z2_report_text():
 @st.composite
 def mutated_reports(draw):
     """The z2 report's text after dropped keys or swapped value types in its rebuilt
-    groupoid and recovered cocycle, or after truncation."""
+    groupoid and recovered cocycle, after truncation, or after deep nesting."""
     doc = json.loads(_z2_report_text())
     rec = doc["reconstruction"]
     for _ in range(draw(st.integers(0, 3))):
@@ -511,7 +604,7 @@ def mutated_reports(draw):
     text = json.dumps(doc)
     if draw(st.booleans()):
         text = text[:draw(st.integers(0, len(text)))]
-    return text
+    return _nested(draw, text)
 
 
 @settings(max_examples=200, deadline=None)

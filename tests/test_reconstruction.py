@@ -543,7 +543,7 @@ def test_rebuild_groupoid_fresh_labels(r2):
     rebuilt, label = rebuild_groupoid(r2, SemigroupSpec.monomial(r2))
     assert set(rebuilt.elements) == {f"p{i}" for i in range(4)}
     assert len(rebuilt.units) == 2
-    assert groupoids_isomorphic(r2.groupoid, rebuilt).found
+    assert groupoids_isomorphic(r2.groupoid, rebuilt).status == "isomorphic"
 
 
 def test_reconstruct_passes_and_is_deterministic(r2):

@@ -12,10 +12,19 @@ from twistalg import (
     membership,
     semigroups,
 )
-from twistalg.algebra import diagonal_function, is_diagonal, is_positive, max_coeff_diff
+from twistalg.algebra import (
+    Cocycle,
+    TwistedAlgebra,
+    diagonal_function,
+    is_diagonal,
+    is_positive,
+    max_coeff_diff,
+)
+from twistalg.groupoid import all_bisections, full_relation
 from twistalg.errors import ConsistencyError, InputError
 from twistalg.seeds import substream
 from twistalg.semigroups import (
+    SWEEP_PATTERN_CAP,
     _bisection_pattern_pairs,
     _in_span,
     _orthonormal_basis,
@@ -108,6 +117,35 @@ def test_summable_witness_matches_the_pairwise_sweep(contexts, name):
     oracle = first_unsummable(spec, itertools.combinations(sweep, 2))
     assert oracle is not None
     assert check_cartan(spec, substream(8, "sweep", name)).summable_witness == oracle
+
+
+def _trivial_context(gpd):
+    return TwistedAlgebra(gpd, Cocycle(gpd, {}), name=gpd.name)
+
+
+def test_the_sweep_draws_no_more_bisections_than_it_keeps(monkeypatch):
+    """R8 has 1,441,729 bisections; the monomial sweep keeps the first
+    SWEEP_PATTERN_CAP non-empty ones, so it draws those and the empty one."""
+    drawn = []
+    lazy = semigroups.iter_bisections
+
+    def counting(g):
+        for b in lazy(g):
+            drawn.append(b)
+            yield b
+
+    monkeypatch.setattr(semigroups, "iter_bisections", counting)
+    ctx = _trivial_context(full_relation(8))
+    sweep = _bisection_pattern_pairs(ctx, SemigroupSpec.monomial(ctx))
+    assert len(sweep) == SWEEP_PATTERN_CAP and len(drawn) <= SWEEP_PATTERN_CAP + 1
+    assert [frozenset(m.coeffs) for m in sweep] == [b for b in drawn if b]
+
+
+def test_the_sweep_keeps_the_first_members_in_enumeration_order():
+    ctx = _trivial_context(full_relation(5))
+    sweep = _bisection_pattern_pairs(ctx, SemigroupSpec.monomial(ctx))
+    first = [b for b in all_bisections(ctx.groupoid) if b][:SWEEP_PATTERN_CAP]
+    assert [frozenset(m.coeffs) for m in sweep] == first
 
 
 def test_sweep_witness_is_rechecked_algebraically(r2, monkeypatch):
