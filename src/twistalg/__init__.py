@@ -9,7 +9,6 @@ from .algebra import (
     MatrixImage,
     Phase,
     TwistedAlgebra,
-    check_reduced_norm_formula,
     convolve,
     cstar_norm,
     diagonal,
@@ -17,6 +16,7 @@ from .algebra import (
     is_diagonal,
     is_monomial,
     pauli_cocycle,
+    reduced_norm_formula,
     regular_representation,
     standard_contexts,
     twists_isomorphic,

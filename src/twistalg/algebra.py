@@ -567,65 +567,23 @@ def is_positive(a: AlgebraElement) -> bool:
     return True
 
 
-def check_reduced_norm_formula(a: AlgebraElement, trials: int, rng: np.random.Generator) -> dict:
-    """Probe the norm formula sup ||E(c* a* a c)||_inf^(1/2) over ||E(c*c)|| <= 1.
+def reduced_norm_formula(a: AlgebraElement) -> float:
+    """The norm formula sup ||E(c* a* a c)||^(1/2) over ||E(c*c)|| <= 1, computed exactly.
 
-    Runs two families of test vectors c: unconstrained random elements
-    (whose value must stay below the operator norm) and structured
-    source-fiber combinations of deltas refined by power iteration (whose
-    best value must come within 5 percent of the operator norm).  Only
-    convolution, involution and the diagonal map are used on this route,
-    so it is independent of the singular-value computation it checks.
+    E(c* a*a c)(u) = c_u* G_u c_u and E(c*c)(u) = ||c_u||^2, where c_u is c on the
+    source fiber of u and G_u[h, k] = (delta_h* a*a delta_k)(u) is its Gram block,
+    so the supremum is the largest lambda_max(G_u)^(1/2).  The blocks come from
+    convolution and involution alone, independent of the representation's layout.
     """
-    ctx = a.ctx
-    norm = cstar_norm(a)
-    gpd = ctx.groupoid
-
-    def formula_value(c: AlgebraElement) -> float:
-        d = diagonal(c.star() * c)
-        scale = d.sup_coeff()
-        if scale <= ctx.zero_tol:
-            return 0.0
-        c = (1 / math.sqrt(scale)) * c
-        return math.sqrt(diagonal(c.star() * (a.star() * (a * c))).sup_coeff())
-
-    random_best = 0.0
-    overshoot = 0.0
-    for _ in range(trials):
-        coeffs = {
-            g: complex(rng.normal(), rng.normal())
-            for g in gpd.elements
-            if rng.random() < 0.7
-        }
-        val = formula_value(AlgebraElement(ctx, coeffs))
-        random_best = max(random_best, val)
-        overshoot = max(overshoot, val - norm)
-
-    structured_best = 0.0
-    units = list(gpd.units)
-    for t in range(trials):
-        u = units[t % len(units)]
+    ctx, gpd = a.ctx, a.ctx.groupoid
+    square = convolve(involution(a), a)
+    best = 0.0  # also clamps an eigenvalue that rounding made negative
+    for u in gpd.units:
         fiber = gpd.source_fiber(u)
-        vec = rng.normal(size=len(fiber)) + 1j * rng.normal(size=len(fiber))
-        c = AlgebraElement(ctx, dict(zip(fiber, vec.tolist())))
-        for _ in range(4):
-            c = a.star() * (a * c)
-            s = c.sup_coeff()
-            if s <= ctx.zero_tol:
-                break
-            c = (1 / s) * c
-        structured_best = max(structured_best, formula_value(c))
-    best = max(random_best, structured_best)
-    gap = 0.0 if norm <= ctx.zero_tol else (norm - best) / norm
-    return {
-        "operator_norm": norm,
-        "monte_carlo_best": best,
-        "upper_bound_ok": overshoot <= 1e-7,
-        "overshoot": overshoot,
-        "gap": gap,
-        "gap_ok": gap <= 0.05,
-        "trials": trials,
-    }
+        rows = [convolve(involution(ctx.delta(h)), square) for h in fiber]
+        gram = np.array([[product_coeff(r, ctx.delta(k), u) for k in fiber] for r in rows])
+        best = max(best, float(np.linalg.eigvalsh(gram).max()))
+    return math.sqrt(best)
 
 
 # -- standard twisted contexts ---------------------------------------------------

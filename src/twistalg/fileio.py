@@ -7,6 +7,7 @@ with absent cocycle entries meaning phase 1.
 
 Algebra element file: {"coeffs": {element: [re, im]}}.
 Bisection basis file: {"bisections": [[element, ...], ...]}.
+Every id, in a list or as a table value, is a string.
 Reconstruction report, as `reconstruct` writes it: {"reconstruction":
 {"rebuilt_groupoid": <groupoid tables>, "recovered_cocycle": {"g|h":
 {"turns": [p, q]}}, ...}, ...}; `compare` reads these two fields.
@@ -60,7 +61,7 @@ def read_object(path: str | Path, what: str) -> dict:
 
 
 def _typed(value, kind: type, name: str):
-    """value, refused by name unless its JSON type is kind (dict or list)."""
+    """value, refused by name unless its JSON type is kind (dict, list or str)."""
     if not isinstance(value, kind):
         raise InputError(f"{name} must be {_JSON_TYPES[kind]}, not {_JSON_TYPES[type(value)]}")
     return value
@@ -78,12 +79,17 @@ def groupoid_from_dict(doc: dict, what: str, name: str | None = None) -> FiniteG
     source, range_, inverse = (_typed(doc.get(k), dict, f"{what}'s {k!r}")
                                for k in ("source", "range", "inverse"))
     compose_raw = _typed(doc.get("compose", {}), dict, f"{what}'s 'compose'")
+    for field, ids in (("elements", elements), ("units", units), ("source", source.values()),
+                       ("range", range_.values()), ("inverse", inverse.values()),
+                       ("compose", compose_raw.values())):
+        for e in ids:
+            _typed(e, str, f"each id in {what}'s {field!r}")
     for e in elements:
-        if "|" in str(e):
+        if "|" in e:
             raise InputError(f"element id {e!r} may not contain '|'")
     compose = {_split_pair(k): v for k, v in compose_raw.items()}
-    return FiniteGroupoid(name or doc.get("name", "groupoid"), elements, units, source, range_,
-                          inverse, compose)
+    own = _typed(doc["name"], str, f"{what}'s 'name'") if "name" in doc else "groupoid"
+    return FiniteGroupoid(name or own, elements, units, source, range_, inverse, compose)
 
 
 def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:

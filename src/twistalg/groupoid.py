@@ -42,21 +42,20 @@ class FiniteGroupoid:
     """Explicit-table finite groupoid.
 
     compose maps composable pairs (g, h) to their product g*h, with
-    source(g*h) == source(h) and range(g*h) == range(g).  Values are
-    immutable after construction; all methods are pure.
+    source(g*h) == source(h) and range(g*h) == range(g).  Ids and the name
+    are strings, stored as given; the tables are copied and immutable after
+    construction; all methods are pure.
     """
 
     def __init__(self, name, elements, units, source, range_, inverse, compose):
-        self.name = str(name)
-        self.elements: tuple[str, ...] = tuple(str(e) for e in elements)
-        unit_set = {str(u) for u in units}
+        self.name: str = name
+        self.elements: tuple[str, ...] = tuple(elements)
+        unit_set = set(units)
         self.units: tuple[str, ...] = tuple(e for e in self.elements if e in unit_set)
-        self.source: dict[str, str] = {str(k): str(v) for k, v in source.items()}
-        self.range: dict[str, str] = {str(k): str(v) for k, v in range_.items()}
-        self.inverse: dict[str, str] = {str(k): str(v) for k, v in inverse.items()}
-        self.compose: dict[tuple[str, str], str] = {
-            (str(g), str(h)): str(k) for (g, h), k in compose.items()
-        }
+        self.source: dict[str, str] = dict(source)
+        self.range: dict[str, str] = dict(range_)
+        self.inverse: dict[str, str] = dict(inverse)
+        self.compose: dict[tuple[str, str], str] = dict(compose)
         self._unit_set = frozenset(self.units)
         self._index = {g: i for i, g in enumerate(self.elements)}
 

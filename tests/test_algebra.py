@@ -15,13 +15,14 @@ from twistalg import (
     InputError,
     Phase,
     TwistedAlgebra,
-    check_reduced_norm_formula,
     cstar_norm,
     diagonal,
+    reduced_norm_formula,
     regular_representation,
 )
 from twistalg.algebra import (
     AlgebraElement,
+    _representation_layout,
     convolve,
     involution,
     is_diagonal,
@@ -39,6 +40,7 @@ from twistalg.groupoid import (
 )
 from twistalg.reconstruction import hat, source_state, ultrafilter_at
 from twistalg.seeds import substream
+from twistalg.suites import norms_suite
 from twistalg.semigroups import (
     SemigroupSpec,
     _bisection_pattern_pairs,
@@ -198,21 +200,17 @@ def test_norm_faithful(r3, v4_pauli, rng):
 
 
 def test_reduced_norm_formula_unit(r2):
-    rep = check_reduced_norm_formula(r2.delta("(1,1)"), trials=50, rng=np.random.default_rng(0))
-    assert abs(rep["monte_carlo_best"] - 1) < 1e-6
-    assert rep["upper_bound_ok"]
+    assert reduced_norm_formula(r2.delta("(1,1)")) == 1.0
 
 
 def test_reduced_norm_formula_zero(r2):
-    rep = check_reduced_norm_formula(r2.zero(), trials=10, rng=np.random.default_rng(0))
-    assert rep["operator_norm"] == 0 and rep["monte_carlo_best"] == 0
+    assert cstar_norm(r2.zero()) == 0 and reduced_norm_formula(r2.zero()) == 0.0
 
 
 def test_reduced_norm_formula_gap_r3(r3):
+    """The exact supremum is the operator norm: no gap and no overshoot."""
     a = random_element(r3, substream(42, "norm-formula"))
-    rep = check_reduced_norm_formula(a, trials=500, rng=substream(42, "norm-mc"))
-    assert rep["upper_bound_ok"]
-    assert rep["gap"] <= 0.05
+    assert abs(reduced_norm_formula(a) - cstar_norm(a)) < 1e-9
 
 
 def test_exact_star_identity_on_basis(contexts):
@@ -499,6 +497,50 @@ def test_norm_of_the_empty_groupoid_is_zero():
     ctx = TwistedAlgebra(FiniteGroupoid("empty", [], [], {}, {}, {}, {}))
     assert regular_representation(ctx.zero()).blocks == {}
     assert cstar_norm(ctx.zero()) == 0.0
+    assert reduced_norm_formula(ctx.zero()) == 0.0
+
+
+def _z3_squared_twist():
+    """Z3 x Z3 twisted by sigma((a,b),(c,d)) = bc/3 turns, so C*(Z3^2, sigma) is M3;
+    sigma takes the value 1/3 turn, so it differs from its conjugate."""
+    ids = [f"{a}{b}" for a in range(3) for b in range(3)]
+    compose = {(x, y): f"{(int(x[0]) + int(y[0])) % 3}{(int(x[1]) + int(y[1])) % 3}"
+               for x in ids for y in ids}
+    inverse = {x: y for (x, y), p in compose.items() if p == "00"}
+    source = dict.fromkeys(ids, "00")
+    gpd = FiniteGroupoid("Z3sq_tw", ids, ["00"], source, dict(source), inverse, compose)
+    sigma = {(x, y): Phase.of(int(x[1]) * int(y[0]), 3) for x, y in compose}
+    return TwistedAlgebra(gpd, Cocycle(gpd, sigma))
+
+
+Z3SQ_TW = _z3_squared_twist()
+R8 = TwistedAlgebra(full_relation(8))
+_DENSE = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)
+
+
+@given(st.sampled_from((*_CONTEXT_NAMES, "Z3sq_tw", "R8")), st.data())
+@settings(max_examples=80, deadline=None)
+def test_reduced_norm_formula_is_the_operator_norm(contexts, name, data):
+    """The Gram-block supremum, from convolution and involution, against the largest
+    singular value of the regular representation."""
+    ctx = {"Z6_cob": _z6_coboundary, "Z3sq_tw": lambda d: Z3SQ_TW, "R8": lambda d: R8}.get(
+        name, lambda d: contexts[name])(data)
+    a = _draw_element(data, ctx, _DENSE)
+    assert abs(reduced_norm_formula(a) - cstar_norm(a)) < 1e-9, name
+
+
+def test_conjugated_representation_phases_fail_the_norm_formula(monkeypatch):
+    """With the regular representation's phases conjugated, and nothing else, the
+    exact norm formula no longer matches the operator norm on the Z3^2 twist."""
+    assert norms_suite(_z3_squared_twist())["norm_formula_residual"] < 1e-9
+
+    def conjugated(ctx):
+        *head, sig_re, sig_im = _representation_layout(ctx)
+        return (*head, sig_re, -sig_im)
+
+    monkeypatch.setattr("twistalg.algebra._representation_layout", conjugated)
+    report = norms_suite(_z3_squared_twist())
+    assert not report["passed"] and report["norm_formula_residual"] > 0.5, report
 
 
 @pytest.mark.parametrize("name", list(standard_contexts()))

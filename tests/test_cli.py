@@ -459,6 +459,33 @@ CONTRACT_CASES.update({
 })
 
 
+def _z2_integer_ids():
+    """fixtures/z2.json with its ids 0 and 1 as JSON numbers in every list and table value."""
+    doc = json.loads((FIXDIR / "z2.json").read_text())
+    doc.update(elements=[0, 1], units=[0])
+    for table in ("source", "range", "inverse", "compose"):
+        doc[table] = {k: int(v) for k, v in doc[table].items()}
+    return doc
+
+
+def _rebuilt_integer_id(text):
+    """A report mutation: the rebuilt groupoid's entry p1|p1 is p0, written as the number 0,
+    with every id p0 renamed 0 so that str() of the number would name an element."""
+    doc = json.loads(text.replace('"p0"', '"0"').replace('"p0|', '"0|').replace('|p0"', '|0"'))
+    doc["reconstruction"]["rebuilt_groupoid"]["compose"]["p1|p1"] = 0
+    return json.dumps(doc)
+
+
+# Ids and the name are strings: a number or an object is refused, not passed through str().
+CONTRACT_CASES.update({
+    "reconstruct-integer-ids": (
+        lambda t: ["reconstruct", _write_json(t / "int.json", _z2_integer_ids())], "input"),
+    "reconstruct-name-object": (
+        lambda t: ["reconstruct", _with_table(t, "name", {"a": [1]})], "input"),
+    "compare-rebuilt-integer-id": (lambda t: _compare_with_good(t, _rebuilt_integer_id), "input"),
+})
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_contract_escapes_are_input_errors(case, tmp_path, capsys):
     argv, kind = CONTRACT_CASES[case]
@@ -508,6 +535,24 @@ def test_element_coefficients_are_two_finite_numbers(pair, tmp_path):
     path.write_text(json.dumps({"coeffs": {"(1,2)": pair}}))
     with pytest.raises(InputError, match="must be \\[re, im\\], two finite numbers"):
         load_element(path, standard_contexts()["R2"])
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("elements", ["0", 1], "a number"), ("units", [["0"]], "an array"),
+    ("source", {"0": "0", "1": 0}, "a number"), ("range", {"0": "0", "1": None}, "null"),
+    ("inverse", {"0": "0", "1": True}, "a boolean"),
+    ("compose", {"0|0": "0", "1|1": {}}, "an object"),
+])
+def test_every_id_must_be_a_string(field, value, kind, tmp_path):
+    message = f"each id in groupoid file's '{field}' must be a string, not {kind}"
+    with pytest.raises(InputError, match=message):
+        load_groupoid_file(_with_table(tmp_path, field, value))
+
+
+@pytest.mark.parametrize("name, kind", [({"a": [1]}, "an object"), (7, "a number"), (None, "null")])
+def test_a_name_must_be_a_string(name, kind, tmp_path):
+    with pytest.raises(InputError, match=f"groupoid file's 'name' must be a string, not {kind}"):
+        load_groupoid_file(_with_table(tmp_path, "name", name))
 
 
 def _nested(draw, text):
