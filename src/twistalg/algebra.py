@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .groupoid import (
+    DEFAULT_ISO_BUDGET,
     BudgetExhausted,
     FiniteGroupoid,
     IsoResult,
@@ -36,6 +37,7 @@ from .groupoid import (
 )
 
 MAX_SNAP_DENOMINATOR = 10**12
+DEFAULT_ZERO_TOL = 1e-9
 
 _EXACT_TURNS = {
     Fraction(0): 1 + 0j,
@@ -100,10 +102,10 @@ class Cocycle:
     numbers of 1/grid turns) and violations are reported, never normalized away.
     """
 
-    def __init__(self, groupoid: FiniteGroupoid, values: dict | None = None):
+    def __init__(self, groupoid: FiniteGroupoid, values: dict):
         self.groupoid = groupoid
         self.values: dict[tuple[str, str], Phase] = {}
-        for (g, h), phase in (values or {}).items():
+        for (g, h), phase in values.items():
             if (g, h) not in groupoid.compose:
                 raise InputError(f"cocycle entry on non-composable pair ({g!r}, {h!r})")
             if not isinstance(phase, Phase):
@@ -176,7 +178,7 @@ class TwistIsoResult(IsoResult):
         return {**super().to_dict(), "groupoids_isomorphic": self.groupoids_isomorphic}
 
 
-def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = 10**6) -> TwistIsoResult:
+def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) -> TwistIsoResult:
     """Search for an isomorphism of the twists defined by two cocycles.
 
     A groupoid isomorphism phi counts when it carries the cocycle exactly,
@@ -238,7 +240,7 @@ class TwistedAlgebra:
     """
 
     def __init__(self, groupoid: FiniteGroupoid, cocycle: Cocycle | None = None,
-                 zero_tol: float = 1e-9, name: str | None = None):
+                 zero_tol: float = DEFAULT_ZERO_TOL, name: str | None = None):
         self.groupoid = groupoid
         self.cocycle = cocycle if cocycle is not None else Cocycle.trivial(groupoid)
         if self.cocycle.groupoid is not groupoid:
@@ -343,13 +345,13 @@ class AlgebraElement:
     def coeff(self, g: str) -> complex:
         return self.coeffs.get(g, 0j)
 
-    def support(self, tol: float | None = None) -> tuple[str, ...]:
-        t = self.ctx.zero_tol if tol is None else tol
+    def support(self) -> tuple[str, ...]:
+        t = self.ctx.zero_tol
         return tuple(sorted((g for g, c in self.coeffs.items() if abs(c) > t),
                             key=self.ctx.groupoid.index))
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        t = self.ctx.zero_tol if tol is None else tol
+    def is_zero(self) -> bool:
+        t = self.ctx.zero_tol
         return not any(abs(c) > t for c in self.coeffs.values())
 
     def sup_coeff(self) -> float:

@@ -21,11 +21,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import TwistedAlgebra, twists_isomorphic
+from .algebra import DEFAULT_ZERO_TOL, TwistedAlgebra, twists_isomorphic
 from .errors import ConsistencyError, InputError, NotCartanError
 from .fileio import _load_report, content_hash, dumps, load_basis, load_groupoid_file
-from .groupoid import validate_groupoid
+from .groupoid import DEFAULT_ISO_BUDGET, validate_groupoid
 from .reconstruction import reconstruct
+from .seeds import DEFAULT_SEED
 from .semigroups import SemigroupSpec
 from .suites import (
     cartan_suite,
@@ -45,10 +46,15 @@ EXIT_CONSISTENCY = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = 1e-9
-    seed: int = 42
-    iso_budget: int = 10**6
-    semigroup: str = "monomial"
+    tolerance: float
+    seed: int
+    iso_budget: int
+    semigroup: str
+
+
+def _basis_path(config: RunConfig) -> str | None:
+    """The basis file of `--semigroup basis:FILE`, None for any other value."""
+    return config.semigroup[6:] if config.semigroup.startswith("basis:") else None
 
 
 def _envelope(paths: list[str], config: RunConfig) -> dict:
@@ -65,14 +71,14 @@ def _load_context(path: str, config: RunConfig):
         raise InputError("invalid groupoid: " + report.violations[0].message)
     if not gpd.elements:
         raise InputError("groupoid has no elements")
-    return TwistedAlgebra(gpd, cocycle, zero_tol=config.tolerance, name=gpd.name)
+    return TwistedAlgebra(gpd, cocycle, zero_tol=config.tolerance)
 
 
 def _resolve_spec(ctx, config: RunConfig) -> SemigroupSpec:
     if config.semigroup == "monomial":
         return SemigroupSpec.monomial(ctx)
-    if config.semigroup.startswith("basis:"):
-        return SemigroupSpec.basis_restricted(ctx, load_basis(config.semigroup[6:], ctx))
+    if _basis_path(config) is not None:
+        return SemigroupSpec.basis_restricted(ctx, load_basis(_basis_path(config), ctx))
     raise InputError(f"unknown --semigroup value {config.semigroup!r}")
 
 
@@ -104,8 +110,7 @@ def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]:
-    iso = twists_isomorphic(_load_report(path_a, "A"), _load_report(path_b, "B"),
-                            config.iso_budget)
+    iso = twists_isomorphic(_load_report(path_a), _load_report(path_b), config.iso_budget)
     code = {"isomorphic": EXIT_PASS, "not_isomorphic": EXIT_FAIL,
             "inconclusive": EXIT_INCONCLUSIVE}[iso.status]
     return {"result": iso.to_dict()}, code
@@ -200,37 +205,38 @@ def cmd_suite(path: str, config: RunConfig, suite: str) -> tuple[dict, int]:
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-    common.add_argument("--seed", type=int, default=42, help="root seed for all sampling")
-    common.add_argument("--iso-budget", type=int, default=10**6,
+    common.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="numeric tolerance")
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root seed for all sampling")
+    common.add_argument("--iso-budget", type=int, default=DEFAULT_ISO_BUDGET,
                         help="node budget for isomorphism search")
-    common.add_argument("--out", default=None, help="write the report to this path")
+    common.add_argument("--out", help="write the report to this path")
+
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--semigroup", default=argparse.SUPPRESS, help="monomial or basis:<file>")
 
     parser = argparse.ArgumentParser(
         prog="twistalg",
         description="Twisted groupoid algebras: validation, reconstruction, property suites.",
     )
+    parser.set_defaults(semigroup="monomial")  # validate and compare report it too
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", parents=[common],
                            help="check groupoid and cocycle axioms")
     p_val.add_argument("path")
 
-    p_rec = sub.add_parser("reconstruct", parents=[common],
+    p_rec = sub.add_parser("reconstruct", parents=[common, spec],
                            help="run the full reconstruction pipeline")
     p_rec.add_argument("path")
-    p_rec.add_argument("--semigroup", default="monomial",
-                       help="monomial or basis:<file>")
 
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="compare two reconstruction reports")
     p_cmp.add_argument("report_a")
     p_cmp.add_argument("report_b")
 
-    p_suite = sub.add_parser("suite", parents=[common], help="run property suites")
+    p_suite = sub.add_parser("suite", parents=[common, spec], help="run property suites")
     p_suite.add_argument("path")
     p_suite.add_argument("--suite", default="all", help="|".join(SUITE_NAMES))
-    p_suite.add_argument("--semigroup", default="monomial")
     return parser
 
 
@@ -241,7 +247,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 for --help
         return exc.code
     config = RunConfig(tolerance=args.tol, seed=args.seed, iso_budget=args.iso_budget,
-                       semigroup=getattr(args, "semigroup", "monomial"))
+                       semigroup=args.semigroup)
     if not (math.isfinite(config.tolerance) and config.tolerance > 0):
         sys.stderr.write("tolerance must be a finite positive number\n")
         return EXIT_INPUT
@@ -252,6 +258,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}\n")
         return EXIT_INPUT
     paths = [args.report_a, args.report_b] if args.command == "compare" else [args.path]
+    if _basis_path(config) is not None:
+        paths.append(_basis_path(config))
     run = {
         "validate": lambda: cmd_validate(args.path, config),
         "reconstruct": lambda: cmd_reconstruct(args.path, config),

@@ -23,8 +23,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .algebra import AlgebraElement, Cocycle, Phase, TwistedAlgebra
 from .errors import InputError
 from .groupoid import FiniteGroupoid, table_violations
@@ -74,7 +72,7 @@ def _split_pair(key: str) -> tuple[str, str]:
     return g, h
 
 
-def groupoid_from_dict(doc: dict, what: str, name: str | None = None) -> FiniteGroupoid:
+def groupoid_from_dict(doc: dict, what: str) -> FiniteGroupoid:
     elements, units = (_typed(doc.get(k), list, f"{what}'s {k!r}") for k in ("elements", "units"))
     source, range_, inverse = (_typed(doc.get(k), dict, f"{what}'s {k!r}")
                                for k in ("source", "range", "inverse"))
@@ -88,8 +86,8 @@ def groupoid_from_dict(doc: dict, what: str, name: str | None = None) -> FiniteG
         if "|" in e:
             raise InputError(f"element id {e!r} may not contain '|'")
     compose = {_split_pair(k): v for k, v in compose_raw.items()}
-    own = _typed(doc["name"], str, f"{what}'s 'name'") if "name" in doc else "groupoid"
-    return FiniteGroupoid(name or own, elements, units, source, range_, inverse, compose)
+    name = _typed(doc["name"], str, f"{what}'s 'name'") if "name" in doc else "groupoid"
+    return FiniteGroupoid(name, elements, units, source, range_, inverse, compose)
 
 
 def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
@@ -116,13 +114,13 @@ def load_groupoid_file(path: str | Path):
         gpd, {} if cocycle is None else _typed(cocycle, dict, "groupoid file's 'cocycle'"))
 
 
-def _load_report(path: str | Path, name: str) -> Cocycle:
+def _load_report(path: str | Path) -> Cocycle:
     """The recovered cocycle of a report, on its rebuilt groupoid with checked tables."""
     what = f"report {path}"
     rec = _typed(read_object(path, what).get("reconstruction"), dict, f"{what}'s 'reconstruction'")
     tables, cocycle = (_typed(rec.get(k), dict, f"{what}'s {k!r}")
                        for k in ("rebuilt_groupoid", "recovered_cocycle"))
-    gpd = groupoid_from_dict(tables, f"{what}'s rebuilt groupoid", name)
+    gpd = groupoid_from_dict(tables, f"{what}'s rebuilt groupoid")
     bad = table_violations(gpd)
     if bad:
         raise InputError(f"{path}: invalid rebuilt groupoid: {bad[0].message}")
@@ -153,20 +151,6 @@ def load_basis(path: str | Path, ctx: TwistedAlgebra) -> BisectionBasis:
     return BisectionBasis(ctx.groupoid, [_typed(m, list, "each basis member") for m in members])
 
 
-def _jsonable(x):
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, (set, frozenset)):
-        return sorted(x)
-    raise TypeError(f"not JSON serializable: {type(x).__name__}")
-
-
 def dumps(obj: dict) -> str:
-    """Deterministic JSON: fixed key order from construction, stable floats."""
-    return json.dumps(obj, indent=2, allow_nan=False, default=_jsonable) + "\n"
+    """Deterministic JSON of JSON types only: fixed key order from construction, stable floats."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

@@ -50,14 +50,15 @@ class FiniteGroupoid:
     def __init__(self, name, elements, units, source, range_, inverse, compose):
         self.name: str = name
         self.elements: tuple[str, ...] = tuple(elements)
-        unit_set = set(units)
-        self.units: tuple[str, ...] = tuple(e for e in self.elements if e in unit_set)
+        self._index = {g: i for i, g in enumerate(self.elements)}
+        # Ids that are not elements go last and repeats stay, for table_violations.
+        last = len(self.elements)
+        self.units: tuple[str, ...] = tuple(sorted(units, key=lambda u: self._index.get(u, last)))
         self.source: dict[str, str] = dict(source)
         self.range: dict[str, str] = dict(range_)
         self.inverse: dict[str, str] = dict(inverse)
         self.compose: dict[tuple[str, str], str] = dict(compose)
         self._unit_set = frozenset(self.units)
-        self._index = {g: i for i, g in enumerate(self.elements)}
 
     # -- basic queries ------------------------------------------------------
 
@@ -147,9 +148,11 @@ def table_violations(g: FiniteGroupoid) -> list[Violation]:
 
     if len(ids) != len(g.elements):
         bad("distinct-elements", (), "duplicate element ids")
-    for u in g.units:
+    for i, u in enumerate(g.units):  # in element order, so a repeat follows its first
         if u not in ids:
             bad("units-subset", (u,), "unit is not an element")
+        elif i and g.units[i - 1] == u:
+            bad("distinct-units", (u,), "unit listed more than once")
     for table_name, table in (("source", g.source), ("range", g.range), ("inverse", g.inverse)):
         for e in g.elements:
             if e not in table:
@@ -310,7 +313,7 @@ def klein_four(name: str = "V4") -> FiniteGroupoid:
     return FiniteGroupoid(name, elems, ["00"], source, range_, inverse, compose)
 
 
-def swap_transformation_groupoid(name: str = "Swap2") -> FiniteGroupoid:
+def swap_transformation_groupoid() -> FiniteGroupoid:
     """Transformation groupoid of the free Z2 swap action on two points.
 
     Elements (k, x) with source x and range k.x; (k, l.x)(l, x) = (k+l, x).
@@ -333,10 +336,10 @@ def swap_transformation_groupoid(name: str = "Swap2") -> FiniteGroupoid:
             for x in points:
                 lx = x if l == 0 else other[x]
                 compose[(f"({k},{lx})", f"({l},{x})")] = f"({(k + l) % 2},{x})"
-    return FiniteGroupoid(name, elems, units, source, range_, inverse, compose)
+    return FiniteGroupoid("Swap2", elems, units, source, range_, inverse, compose)
 
 
-def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid, name: str | None = None) -> FiniteGroupoid:
+def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid, name: str) -> FiniteGroupoid:
     pa, pb = a.name + ":", b.name + ":"
     elems = [pa + e for e in a.elements] + [pb + e for e in b.elements]
     units = [pa + u for u in a.units] + [pb + u for u in b.units]
@@ -348,7 +351,7 @@ def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid, name: str | None = None
     inverse.update({pb + e: pb + b.inverse[e] for e in b.elements})
     compose = {(pa + g, pa + h): pa + k for (g, h), k in a.compose.items()}
     compose.update({(pb + g, pb + h): pb + k for (g, h), k in b.compose.items()})
-    return FiniteGroupoid(name or f"{a.name}_disj_{b.name}", elems, units, source, range_, inverse, compose)
+    return FiniteGroupoid(name, elems, units, source, range_, inverse, compose)
 
 
 def standard_fixtures() -> dict[str, FiniteGroupoid]:
@@ -369,6 +372,8 @@ def standard_fixtures() -> dict[str, FiniteGroupoid]:
 
 
 # -- isomorphism search -------------------------------------------------------
+
+DEFAULT_ISO_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -501,7 +506,8 @@ def iter_isomorphisms(a: FiniteGroupoid, b: FiniteGroupoid, budget: _Budget, lab
     yield from search(0, True)
 
 
-def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, budget: int = 10**6) -> IsoResult:
+def groupoids_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid,
+                         budget: int = DEFAULT_ISO_BUDGET) -> IsoResult:
     """Search for a groupoid isomorphism a -> b within a node-visit budget."""
     tracker = _Budget(budget)
     try:

@@ -28,7 +28,13 @@ from .algebra import (
     product_coeff,
 )
 from .errors import ConsistencyError, InputError, NotCartanError
-from .groupoid import FiniteGroupoid, groupoids_isomorphic, subset_product, validate_groupoid
+from .groupoid import (
+    DEFAULT_ISO_BUDGET,
+    FiniteGroupoid,
+    groupoids_isomorphic,
+    subset_product,
+    validate_groupoid,
+)
 from .relations import dominates
 from .semigroups import (
     SemigroupSpec,
@@ -40,7 +46,7 @@ from .semigroups import (
     random_monomial,
     sample_members,
 )
-from .seeds import substream
+from .seeds import DEFAULT_SEED, substream
 
 
 # -- ultrafilters ----------------------------------------------------------------
@@ -516,8 +522,9 @@ def twist_report(ctx: TwistedAlgebra, rng) -> dict:
     return {"passed": class_ok and law_ok, "class_vs_point": class_ok, "product_laws": law_ok}
 
 
-def hat_report(ctx: TwistedAlgebra, rng, samples: int = 60) -> dict:
+def hat_report(ctx: TwistedAlgebra, rng) -> dict:
     """Round-trip, *-algebra, expectation and support laws of the hat map."""
+    samples = 60
     roundtrip = 0.0
     linear = 0.0
     multiplicative = 0.0
@@ -626,7 +633,8 @@ class ReconstructionReport:
 
 
 def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
-                seed: int = 42, iso_budget: int = 10**6, run=None) -> ReconstructionReport:
+                seed: int = DEFAULT_SEED, iso_budget: int = DEFAULT_ISO_BUDGET,
+                run=None) -> ReconstructionReport:
     """Round-trip reconstruction of the groupoid and twist from a Cartan spec.
 
     Refuses non-Cartan specs, then runs the independent stages in report order:

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+DEFAULT_SEED = 42
+
 
 def child_seed(seed: int, *names: str) -> int:
     tag = str(int(seed)) + "".join("|" + n for n in names)

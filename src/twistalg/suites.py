@@ -51,7 +51,7 @@ from .semigroups import (
     random_element,
     random_monomial,
 )
-from .seeds import substream
+from .seeds import DEFAULT_SEED, substream
 
 
 def _random_restriction(n: AlgebraElement, rng, rescale: bool = False) -> AlgebraElement:
@@ -69,7 +69,7 @@ def _random_restriction(n: AlgebraElement, rng, rescale: bool = False) -> Algebr
 # -- relations ---------------------------------------------------------------------
 
 
-def relations_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
+def relations_suite(ctx: TwistedAlgebra, seed: int = DEFAULT_SEED) -> dict:
     """Restriction and domination laws, witness calculus, ball and predomain
     certificates."""
     rng = substream(seed, "relations", ctx.name)
@@ -221,7 +221,7 @@ def _max_restriction_bound(n: AlgebraElement) -> AlgebraElement:
     return candidate
 
 
-def expectation_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
+def expectation_suite(ctx: TwistedAlgebra, seed: int = DEFAULT_SEED) -> dict:
     """E as the restriction-maximal diagonal part, plus the interaction laws."""
     rng = substream(seed, "expectation", ctx.name)
     gpd = ctx.groupoid
@@ -293,7 +293,7 @@ def expectation_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
 # -- norms ---------------------------------------------------------------------------
 
 
-def norms_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
+def norms_suite(ctx: TwistedAlgebra, seed: int = DEFAULT_SEED) -> dict:
     """Norm laws: delta norms, the C*-identity, faithfulness, and the
     reduced-norm formula, computed exactly on every sampled element."""
     rng = substream(seed, "norms", ctx.name)
@@ -318,7 +318,7 @@ def norms_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
         homog_res = max(homog_res, abs(cstar_norm(z * a) - abs(z) * na))
         formula_res = max(formula_res, abs(reduced_norm_formula(a) - na))
         if na <= 1e-12:
-            faithful_ok = faithful_ok and a.is_zero(1e-12)
+            faithful_ok = faithful_ok and a.sup_coeff() <= 1e-12
         ib, iab = regular_representation(b), regular_representation(a * b)
         istar = regular_representation(a.star())
         for u in ctx.groupoid.units:
@@ -351,10 +351,10 @@ def cartan_suite(ctx: TwistedAlgebra, seed: int, spec: SemigroupSpec) -> dict:
     return out
 
 
-def states_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
+def states_suite(ctx: TwistedAlgebra, seed: int = DEFAULT_SEED) -> dict:
     states = states_report(ctx, substream(seed, "states", ctx.name))
     twist = twist_report(ctx, substream(seed, "states-twist", ctx.name))
-    hats = hat_report(ctx, substream(seed, "states-hat", ctx.name), samples=50)
+    hats = hat_report(ctx, substream(seed, "states-hat", ctx.name))
     return {
         "context": ctx.name,
         "states": states,
@@ -364,7 +364,7 @@ def states_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
     }
 
 
-def masa_suite(ctx: TwistedAlgebra, seed: int = 42) -> dict:
+def masa_suite(ctx: TwistedAlgebra, seed: int = DEFAULT_SEED) -> dict:
     rng = substream(seed, "masa", ctx.name)
     commutant = commutant_basis(ctx)
     iso_dim = sum(len(ctx.groupoid.isotropy(u)) for u in ctx.groupoid.units)

@@ -196,7 +196,7 @@ def test_norm_faithful(r3, v4_pauli, rng):
         for _ in range(25):
             a = random_element(ctx, rng)
             if cstar_norm(a) < 1e-12:
-                assert a.is_zero(1e-12)
+                assert a.sup_coeff() <= 1e-12
 
 
 def test_reduced_norm_formula_unit(r2):
@@ -596,16 +596,16 @@ def test_is_diagonal_agrees_with_the_support(contexts, name, data):
 @given(st.sampled_from(_CONTEXT_NAMES), st.data())
 @settings(max_examples=80, deadline=None)
 def test_is_zero_agrees_with_the_support(contexts, name, data):
-    """An explicit tol overrides zero_tol, and |c| == tol counts as zero."""
-    ctx = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
-    tol = data.draw(st.sampled_from((None, ctx.zero_tol, 1e-3, 0.5)))
-    t = ctx.zero_tol if tol is None else tol
+    """The context's zero_tol is the cut, and |c| == zero_tol counts as zero."""
+    base = _z6_coboundary(data) if name == "Z6_cob" else contexts[name]
+    t = data.draw(st.sampled_from((base.zero_tol, 1e-3, 0.5)))
+    ctx = TwistedAlgebra(base.groupoid, base.cocycle, zero_tol=t)
     near = st.sampled_from((complex(t), complex(-t), complex(0, t), complex(t * 1.5),
                             complex(t / 2, t / 2), complex(np.nextafter(t, 1.0))))
     coeff = data.draw(st.sampled_from((st.one_of(near, st.just(0j), st.none()),
                                        st.one_of(near, _COEFF_OR_ZERO))))
     a = _draw_element(data, ctx, coeff)
-    assert a.is_zero(tol) == (not a.support(tol))
+    assert a.is_zero() == (not a.support())
 
 
 def test_kernel_never_takes_exact_phases(monkeypatch, rng):
@@ -636,9 +636,13 @@ def test_support_order_and_threshold(r3):
     tol = r3.zero_tol
     a = AlgebraElement(r3, {elems[2]: complex(tol), elems[1]: 0.5 + 0j, elems[0]: 2 * tol + 0j})
     assert a.support() == (elems[0], elems[1])
-    assert a.support(tol / 4) == (elems[0], elems[1], elems[2])
-    assert a.support(0.1) == (elems[1],)
-    assert a.support(0.5) == ()
+
+    def support_at(t):
+        return AlgebraElement(TwistedAlgebra(r3.groupoid, zero_tol=t), a.coeffs).support()
+
+    assert support_at(tol / 4) == (elems[0], elems[1], elems[2])
+    assert support_at(0.1) == (elems[1],)
+    assert support_at(0.5) == ()
 
 
 def _scaling_contexts():

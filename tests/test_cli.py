@@ -58,6 +58,18 @@ def test_validate_broken_cocycle_names_witness(tmp_path, capsys):
     assert out["cocycle"]["violations"][0]["witness"]
 
 
+BAD_UNITS = {"unit-not-an-element": (["0", "x"], "units-subset", ["x"]),
+             "unit-repeated": (["0", "0"], "distinct-units", ["0"])}
+
+
+@pytest.mark.parametrize("case", BAD_UNITS)
+def test_validate_names_the_bad_unit(case, tmp_path, capsys):
+    units, axiom, witness = BAD_UNITS[case]
+    assert run("validate", _with_table(tmp_path, "units", units)) == 1
+    violations = json.loads(capsys.readouterr().out)["groupoid"]["violations"]
+    assert [(v["axiom"], v["witness"]) for v in violations] == [(axiom, witness)]
+
+
 def test_validate_broken_composition(tmp_path, capsys):
     doc = json.loads((FIXDIR / "r2.json").read_text())
     doc["compose"]["(1,2)|(1,2)"] = "(1,1)"
@@ -114,6 +126,25 @@ def test_reconstruct_with_basis_spec(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["reconstruction"]["cartan"]["summable"] is False
     assert doc["reconstruction"]["summable_image"]["passed"]
+
+
+def test_the_basis_file_is_an_input_of_the_report(tmp_path):
+    basis = tmp_path / "basis.json"
+    basis.write_bytes((FIXDIR / "basis_r2_offdiag.json").read_bytes())
+
+    def inputs():
+        out = tmp_path / "report.json"
+        assert run("reconstruct", FIXDIR / "r2.json", "--semigroup", f"basis:{basis}",
+                   "--out", out) == 0
+        return json.loads(out.read_text())["inputs"]
+
+    before = inputs()
+    assert before == [{"name": "r2.json", "sha256": content_hash(FIXDIR / "r2.json")},
+                      {"name": "basis.json", "sha256": content_hash(basis)}]
+    basis.write_text(basis.read_text() + "\n")
+    after = inputs()
+    assert after[0] == before[0] and after[1]["sha256"] == content_hash(basis)
+    assert after[1]["sha256"] != before[1]["sha256"]
 
 
 def test_reconstruct_reports_byte_identical(tmp_path):
@@ -483,6 +514,12 @@ CONTRACT_CASES.update({
     "reconstruct-name-object": (
         lambda t: ["reconstruct", _with_table(t, "name", {"a": [1]})], "input"),
     "compare-rebuilt-integer-id": (lambda t: _compare_with_good(t, _rebuilt_integer_id), "input"),
+})
+# A unit that is not an element, or one listed twice, fails validation.
+CONTRACT_CASES.update({
+    f"reconstruct-{case}": (lambda t, units=units: ["reconstruct", _with_table(t, "units", units)],
+                            "input")
+    for case, (units, _, _) in BAD_UNITS.items()
 })
 
 

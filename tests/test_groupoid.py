@@ -79,6 +79,42 @@ def test_non_involutive_inverse_reported():
     assert any(v.axiom in ("inverse-involutive", "inverse-law") for v in report.violations)
 
 
+def _corrupted(g, elements=None, units=None, **changes):
+    """g with its element or unit list replaced, or entries of its tables changed;
+    a compose entry changed to None drops that pair."""
+    t = {name: {**getattr(g, name), **changes.get(name, {})}
+         for name in ("source", "range", "inverse", "compose")}
+    compose = {pair: k for pair, k in t["compose"].items() if k is not None}
+    return FiniteGroupoid("bad", elements or g.elements, units or g.units,
+                          t["source"], t["range"], t["inverse"], compose)
+
+
+# axiom -> (a minimal corruption of z2 or r2, the witness it is reported with)
+AXIOM_WITNESSES = {
+    "distinct-elements": (lambda z2, r2: _corrupted(z2, elements=["0", "1", "1"]), ()),
+    "units-subset": (lambda z2, r2: _corrupted(z2, units=["0", "x"]), ("x",)),
+    "distinct-units": (lambda z2, r2: _corrupted(z2, units=["0", "0"]), ("0",)),
+    "source-unit": (lambda z2, r2: _corrupted(z2, source={"1": "1"}), ("1", "1")),
+    "range-unit": (lambda z2, r2: _corrupted(z2, range={"1": "1"}), ("1", "1")),
+    "unit-fixed": (lambda z2, r2: _corrupted(r2, source={"(1,1)": "(2,2)"}), ("(1,1)",)),
+    "unit-inverse": (lambda z2, r2: _corrupted(z2, inverse={"0": "1"}), ("0",)),
+    "compose-ids": (lambda z2, r2: _corrupted(z2, compose={("1", "1"): "x"}), ("1", "1", "x")),
+    "compose-domain": (lambda z2, r2: _corrupted(r2, compose={("(1,2)", "(1,2)"): "(1,1)"}),
+                       ("(1,2)", "(1,2)")),
+    "compose-endpoints": (lambda z2, r2: _corrupted(r2, compose={("(1,2)", "(2,1)"): "(2,2)"}),
+                          ("(1,2)", "(2,1)", "(2,2)")),
+    "compose-total": (lambda z2, r2: _corrupted(z2, compose={("1", "1"): None}), ("1", "1")),
+    "unit-law": (lambda z2, r2: _corrupted(z2, compose={("1", "0"): "0"}), ("1",)),
+}
+
+
+@pytest.mark.parametrize("axiom", AXIOM_WITNESSES)
+def test_each_axiom_is_reported_with_its_witness(axiom):
+    corrupt, witness = AXIOM_WITNESSES[axiom]
+    report = validate_groupoid(corrupt(cyclic_group(2), full_relation(2)))
+    assert (axiom, witness) in [(v.axiom, v.witness) for v in report.violations]
+
+
 def _brute_validate(g):
     """validate_groupoid with associativity over all of product(elements, repeat=3):
     the loop the fiber sweep replaced, kept as its oracle."""

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from twistalg import (
     NotCartanError,
     SemigroupSpec,
     angle,
+    check_cartan,
     check_filter_axioms,
     groupoids_isomorphic,
     hat,
@@ -487,8 +490,8 @@ def test_hat_report_forms_each_hat_once_per_sample(r3, rng, monkeypatch):
         return original(a)
 
     monkeypatch.setattr(reconstruction, "hat", counting)
-    assert reconstruction.hat_report(r3, rng, samples=3)["passed"]
-    assert len(calls) == 7 * 3
+    assert reconstruction.hat_report(r3, rng)["passed"]
+    assert len(calls) == 7 * 60
 
 
 def test_second_hat_forms_no_product(monkeypatch, rng):
@@ -590,6 +593,62 @@ def test_reconstruct_refuses_non_cartan(r2):
     with pytest.raises(NotCartanError) as err:
         reconstruct(r2, spec)
     assert any("dense span" in f for f in err.value.failures)
+
+
+@pytest.mark.parametrize("name", ["Z4", "V4", "V4_pauli", "R2_disj_Z2", "R3"])
+def test_the_normalizer_spec_fails_stability_where_there_is_isotropy(contexts, name):
+    """With isotropy, a normaliser n can carry E(n) at a unit and more off it,
+    so E(n)n* is not diagonal; R3 has none and its normalisers are Cartan."""
+    spec = SemigroupSpec.normalizers(contexts[name])
+    report = check_cartan(spec, substream(42, "reconstruct-cartan", name, "normalizers"))
+    expected = [] if name == "R3" else ["stability E(n)n* in B"]
+    assert report.failures() == expected
+    assert (report.stable_witness is not None) == bool(expected)
+    if expected:
+        with pytest.raises(NotCartanError) as err:
+            reconstruct(contexts[name], spec, seed=42)
+        assert err.value.failures == tuple(expected)
+
+
+def _unchecked_basis(ctx, members):
+    """A BisectionBasis of exactly these members, without the closure checks
+    that would refuse it."""
+    basis = object.__new__(BisectionBasis)
+    basis.groupoid, basis.family = ctx.groupoid, frozenset(map(frozenset, members))
+    basis.covered = frozenset(itertools.chain.from_iterable(basis.family))
+    return basis
+
+
+_R3_UNITS = ("(1,1)", "(2,2)", "(3,3)")
+# case -> (context, family, failures, witness field, witness pattern)
+UNCHECKED_FAMILIES = {
+    # Every unit subset and {(1,2)} without its inverse {(2,1)}.
+    "star": ("R3", [*(c for k in range(4) for c in itertools.combinations(_R3_UNITS, k)),
+                    ["(1,2)"]],
+             ["star-semigroup closure", "dense span (dimension 4)"], "star_witness",
+             r"star of AlgebraElement\(\S+\*d\[\(1,2\)\]\)"),
+    # Closed under inverses, but 1 + 1 = 3 + 3 = 2 is missing.
+    "product": ("Z4", [[], ["0"], ["1"], ["3"]],
+                ["star-semigroup closure", "dense span (dimension 3)"], "star_witness",
+                r"product of AlgebraElement\(\S+\*d\[([13])\]\) and AlgebraElement\(\S+\*d\[\1\]\)"),
+    # Single units only: a diagonal element on two units is not a member.
+    "b-contained": ("R3", [[], *([u] for u in _R3_UNITS)],
+                    ["star-semigroup closure", "dense span (dimension 3)", "B contained in N"],
+                    "b_witness", r"AlgebraElement\(.*d\[\((\d),\1\)\].*d\[\((\d),\2\)\].*\)"),
+}
+
+
+@pytest.mark.parametrize("case", UNCHECKED_FAMILIES)
+def test_an_unchecked_basis_fails_the_cartan_check_with_a_witness(contexts, case):
+    name, members, failures, field, pattern = UNCHECKED_FAMILIES[case]
+    ctx = contexts[name]
+    spec = SemigroupSpec.basis_restricted(ctx, _unchecked_basis(ctx, members))
+    report = check_cartan(spec, substream(1, "reconstruct-cartan", name, "basis"))
+    assert report.failures() == failures
+    assert re.fullmatch(pattern, getattr(report, field)), getattr(report, field)
+    with pytest.raises(NotCartanError) as err:
+        reconstruct(ctx, spec, seed=1)
+    assert err.value.failures == tuple(failures)
 
 
 def test_cross_reconstruction_distinguishes_z4_v4(contexts):

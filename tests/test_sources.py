@@ -3,7 +3,9 @@
 Every input document is parsed in one place, `fileio.read_object`: a second
 parser would need its own depth, encoding and type checks.  Every random
 generator is made in one place, `seeds.substream`, so that all sampling flows
-from the seed through named substreams."""
+from the seed through named substreams.  The default seed, isomorphism budget
+and zero tolerance are each defined once, as a named constant, and reports
+hold only JSON types, so the writer needs no fallback encoder."""
 
 import ast
 from pathlib import Path
@@ -65,3 +67,59 @@ def test_the_random_source_rule_sees_each_form():
              "from numpy.random import default_rng", "import random", "from random import random"]
     assert [_random_sources(ast.parse(text)) for text in forms] == [[1]] * len(forms)
     assert _random_sources(ast.parse("def f(rng: np.random.Generator): rng.normal()")) == []
+
+
+SETTINGS = {"DEFAULT_SEED": ("seeds", 42), "DEFAULT_ISO_BUDGET": ("groupoid", 10**6),
+            "DEFAULT_ZERO_TOL": ("algebra", 1e-9)}
+
+
+def _number(node):
+    """The value of a numeric literal or of a power of two of them, else None."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, exponent = _number(node.left), _number(node.right)
+        return None if base is None or exponent is None else base ** exponent
+    return None
+
+
+def _literal_defaults(tree: ast.AST) -> list[int]:
+    """Lines where a setting's value is written out as a parameter default, a class
+    field default or the `default=` of a call such as add_argument."""
+    defaults = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults += [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+        elif isinstance(node, ast.ClassDef):
+            defaults += [s.value for s in node.body if isinstance(s, ast.AnnAssign) and s.value]
+        elif isinstance(node, ast.keyword) and node.arg == "default":
+            defaults.append(node.value)
+    values = [value for _, value in SETTINGS.values()]
+    return [d.lineno for d in defaults if _number(d) in values]
+
+
+def test_each_setting_is_defined_once():
+    trees = _trees()
+    defined = {(module, target.id, _number(node.value))
+               for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) for target in node.targets
+               if isinstance(target, ast.Name) and target.id in SETTINGS}
+    assert defined == {(module, name, value) for name, (module, value) in SETTINGS.items()}
+    lines = {module: _literal_defaults(tree) for module, tree in trees.items()}
+    assert {module: found for module, found in lines.items() if found} == {}
+
+
+def test_the_default_rule_sees_each_form():
+    forms = ["def f(seed=42): pass", "def f(*, budget=10**6): pass", "lambda tol=1e-9: tol",
+             "class C:\n    seed: int = 42", "p.add_argument('--tol', default=1e-9)"]
+    assert [_literal_defaults(ast.parse(text)) for text in forms] == [[1], [1], [1], [2], [1]]
+    assert _literal_defaults(ast.parse("DEFAULT_SEED = 42\ndef f(seed=DEFAULT_SEED): pass")) == []
+
+
+def test_the_report_writer_has_no_fallback_encoder():
+    dumps = next(node for node in ast.walk(_trees()["fileio"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "dumps")
+    calls = [node for node in ast.walk(dumps) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"]
+    assert len(calls) == 1
+    assert [k.arg for k in calls[0].keywords if k.arg in ("default", "cls")] == []
