@@ -185,13 +185,21 @@ def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) 
     b(phi(g), phi(h)) == a(g, h) on every composable pair.  Cocycles that
     differ only by a coboundary are not identified.
 
-    One walk under one budget: its first groupoid isomorphism settles
-    `groupoids_isomorphic`, and after it the walk is pruned by the commutator
-    pairing a(x, y) - a(y, x) on commuting pairs (Kleppner, 1965).  A carrying
-    map preserves the pairing, so the first one found is the unpruned walk's.
+    The verdict is settled in order by the element signatures, by the
+    commutator pairing a(x, y) - a(y, x) on commuting pairs (Kleppner, 1965),
+    then by one walk under one budget.  A carrying map preserves the
+    signatures and the pairing, and a coboundary adds nothing to the pairing,
+    so two cocycles whose multisets of per-element pairing profiles differ
+    are not_isomorphic; the walk then runs unlabelled only to settle
+    `groupoids_isomorphic` (None when the budget runs out first, with the
+    status inconclusive).  Otherwise the walk's first groupoid isomorphism
+    settles `groupoids_isomorphic`, and after it the walk is pruned by the
+    pairing, so the first carrying map found is the unpruned walk's.
     """
     grid = math.lcm(a.grid, b.grid)
     ta, tb = a.whole_turns(grid), b.whole_turns(grid)
+    pairing_a, pairing_b = _commutator_pairing(a, grid, ta), _commutator_pairing(b, grid, tb)
+    refuted = _pairing_profiles(a.groupoid, pairing_a) != _pairing_profiles(b.groupoid, pairing_b)
     pairs = tuple(a.groupoid.compose)
 
     def carries(m: dict[str, str]) -> bool:
@@ -199,12 +207,15 @@ def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) 
 
     def labels():
         by_element = {}
-        for (x, e), v in _commutator_pairing(a, grid).items():
+        for (x, e), v in pairing_a.items():
             by_element.setdefault(e, []).append((x, v))
-        return by_element, _commutator_pairing(b, grid)
+        return by_element, pairing_b
 
     tracker, met = _Budget(budget), False
     try:
+        if refuted:
+            met = next(iter_isomorphisms(a.groupoid, b.groupoid, tracker), None) is not None
+            return TwistIsoResult("not_isomorphic", None, tracker.used, met)
         for mapping in iter_isomorphisms(a.groupoid, b.groupoid, tracker, labels):
             if carries(mapping):
                 return TwistIsoResult("isomorphic", mapping, tracker.used, True)
@@ -214,13 +225,25 @@ def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) 
     return TwistIsoResult("not_isomorphic", None, tracker.used, met)
 
 
-def _commutator_pairing(c: Cocycle, grid: int) -> dict[tuple[str, str], int]:
+def _commutator_pairing(c: Cocycle, grid: int,
+                        turns: dict | None = None) -> dict[tuple[str, str], int]:
     """(x, y) -> c(x, y) - c(y, x) in whole 1/grid turns, mod grid, for each
-    pair with xy = yx (grid a multiple of c.grid)."""
+    pair with xy = yx (grid a multiple of c.grid); turns, if given, is
+    c.whole_turns(grid)."""
     compose = c.groupoid.compose
-    turns = c.whole_turns(grid)
+    turns = c.whole_turns(grid) if turns is None else turns
     return {(x, y): (turns.get((x, y), 0) - turns.get((y, x), 0)) % grid
             for (x, y), p in compose.items() if compose.get((y, x)) == p}
+
+
+def _pairing_profiles(g: FiniteGroupoid, pairing: dict[tuple[str, str], int]) -> list:
+    """The sorted multiset of (signature of e, sorted pairing[(x, e)] over the x
+    that commute with e) over the elements e of g; a carrying map preserves it."""
+    values = {e: [] for e in g.elements}
+    for (_, e), v in pairing.items():
+        values[e].append(v)
+    sigs = g.signatures
+    return sorted((sigs[e], sorted(vs)) for e, vs in values.items())
 
 
 def pauli_cocycle(v4: FiniteGroupoid) -> Cocycle:

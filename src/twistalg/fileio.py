@@ -72,6 +72,13 @@ def _split_pair(key: str) -> tuple[str, str]:
     return g, h
 
 
+def _ids(values, field: str, what: str) -> None:
+    """Refuse, by name, the first id in values that is not a string."""
+    if not set(map(type, values)) <= {str}:  # one pass; the loop below names the offender
+        for e in values:
+            _typed(e, str, f"each id in {what}'s {field!r}")
+
+
 def groupoid_from_dict(doc: dict, what: str) -> FiniteGroupoid:
     elements, units = (_typed(doc.get(k), list, f"{what}'s {k!r}") for k in ("elements", "units"))
     source, range_, inverse = (_typed(doc.get(k), dict, f"{what}'s {k!r}")
@@ -80,25 +87,30 @@ def groupoid_from_dict(doc: dict, what: str) -> FiniteGroupoid:
     for field, ids in (("elements", elements), ("units", units), ("source", source.values()),
                        ("range", range_.values()), ("inverse", inverse.values()),
                        ("compose", compose_raw.values())):
-        for e in ids:
-            _typed(e, str, f"each id in {what}'s {field!r}")
-    for e in elements:
-        if "|" in e:
-            raise InputError(f"element id {e!r} may not contain '|'")
-    compose = {_split_pair(k): v for k, v in compose_raw.items()}
+        _ids(ids, field, what)
+    if "|" in "".join(elements):
+        bad = next(e for e in elements if "|" in e)
+        raise InputError(f"element id {bad!r} may not contain '|'")
+    try:
+        compose = {(g, h): v for k, v in compose_raw.items() for g, h in (k.split("|"),)}
+    except ValueError:  # a key without exactly one '|': name the first
+        compose = {_split_pair(k): v for k, v in compose_raw.items()}
     name = _typed(doc["name"], str, f"{what}'s 'name'") if "name" in doc else "groupoid"
     return FiniteGroupoid(name, elements, units, source, range_, inverse, compose)
 
 
 def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
-    values = {}
+    values, phases = {}, {}  # phases: (p, q) -> its Phase, built once per distinct value
     for key, entry in doc.items():
         g, h = _split_pair(key)
         try:
             p, q = entry["turns"]
             if type(p) is not int or type(q) is not int:  # bool is an int subclass
                 raise TypeError(f"turns must be two integers, not {[p, q]!r}")
-            values[(g, h)] = Phase(Fraction(p, q) % 1)
+            phase = phases.get((p, q))
+            if phase is None:
+                phase = phases[(p, q)] = Phase(Fraction(p, q) % 1)
+            values[(g, h)] = phase
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad cocycle entry for {key!r}: {exc}") from exc
     return Cocycle(groupoid, values)

@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -583,6 +584,16 @@ def test_element_coefficients_are_two_finite_numbers(pair, tmp_path):
 def test_every_id_must_be_a_string(field, value, kind, tmp_path):
     message = f"each id in groupoid file's '{field}' must be a string, not {kind}"
     with pytest.raises(InputError, match=message):
+        load_groupoid_file(_with_table(tmp_path, field, value))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("elements", ["0", "1", "a|b", "c|d"], "element id 'a|b' may not contain '|'"),
+    ("compose", {"0|0": "0", "0|1": "1", "1|0|1": "1", "11": "0"},
+     "pair key '1|0|1' must contain exactly one '|'"),
+])
+def test_the_reader_names_the_first_bad_id_or_key(field, value, message, tmp_path):
+    with pytest.raises(InputError, match=re.escape(message)):
         load_groupoid_file(_with_table(tmp_path, field, value))
 
 

@@ -1,6 +1,7 @@
-"""The twist-isomorphism search prunes by the commutator pairing once its
-first groupoid isomorphism is found; the verdicts, mappings and groupoid
-verdicts stay those of the unpruned search."""
+"""The twist-isomorphism search refutes a pair whose commutator-pairing
+profiles differ before it walks, and prunes by the pairing once its first
+groupoid isomorphism is found; the verdicts, mappings and groupoid verdicts
+stay those of the unpruned search."""
 
 import importlib.util
 import itertools
@@ -19,10 +20,12 @@ from twistalg.algebra import (
     Phase,
     TwistIsoResult,
     _commutator_pairing,
+    _pairing_profiles,
     pauli_cocycle,
     standard_contexts,
     twists_isomorphic,
 )
+from twistalg import algebra
 from twistalg.cli import main
 from twistalg.groupoid import (
     BudgetExhausted,
@@ -225,6 +228,102 @@ def test_non_isomorphic_groupoids_with_equal_signatures():
         assert new.nodes_visited == plain.nodes_visited == nodes
 
 
+def test_refuted_pair_of_non_isomorphic_groupoids_walks_the_plain_walk():
+    """Z4 x Z4 twisted by 1/4 x0 y1 against the untwisted Z4 x| Z4: the profiles
+    differ, and the walk that settles groupoids_isomorphic is the plain walk."""
+    gpd, by_id = _abelian((4, 4))
+    twisted, semidirect = _cocycle(gpd, by_id, (4, 4), {(0, 1): 1}, {}), COCYCLES["Z4sdZ4"]
+    result = _assert_matches_oracle(twisted, semidirect)
+    assert (result.status, result.groupoids_isomorphic) == ("not_isomorphic", False)
+    plain = groupoids_isomorphic(gpd, semidirect.groupoid)
+    assert result.nodes_visited == plain.nodes_visited == 1168
+
+
+def _d4_times_z2(mul, orders, a, e):
+    """D4 x Z2 on the tuples of range(orders), twisted by 1/2 (x_a mod 2) y_e, the
+    bilinear cocycle of its abelian quotient Z2^3 pulled back; a and e index the
+    rotation and the Z2 factor in the tuples."""
+    gpd, by_id = _group("D4xZ2", orders, mul)
+    half = Phase(Fraction(1, 2))
+    return Cocycle(gpd, {(g, h): half for g, h in gpd.compose if by_id[g][a] % 2 * by_id[h][e]})
+
+
+def test_non_abelian_isotropy_is_refuted_and_matched_as_the_oracle():
+    """On D4 x Z2 the pairing is non-zero on 48 commuting pairs.  A copy written
+    as Z2 x D4 is isomorphic, with the oracle's map and nodes; the untwisted group
+    is refuted in 16 nodes (the pruned walk alone visited 30)."""
+    d4z2 = _d4_times_z2(lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2,
+                                      (x[2] + y[2]) % 2), (4, 2, 2), 0, 2)
+    z2d4 = _d4_times_z2(lambda x, y: ((x[0] + y[0]) % 2, (x[1] + (-1) ** x[2] * y[1]) % 4,
+                                      (x[2] + y[2]) % 2), (2, 4, 2), 1, 0)
+    assert sum(v != 0 for v in _commutator_pairing(d4z2, 2).values()) == 48
+    same = _assert_matches_oracle(d4z2, z2d4)
+    assert same.status == "isomorphic"
+    assert same.nodes_visited == _unpruned_twists_isomorphic(d4z2, z2d4).nodes_visited == 34
+    plain = _assert_matches_oracle(d4z2, Cocycle.trivial(d4z2.groupoid))
+    assert (plain.status, plain.groupoids_isomorphic, plain.nodes_visited) == \
+        ("not_isomorphic", True, 16)
+
+
+def test_a_rank_four_twist_on_z2_to_the_fifth_is_refuted_within_a_small_budget():
+    """Z2^5 untwisted against 1/2 (x0 y1 + x2 y3): the pairing-consistent walk
+    needed 283,679 nodes to refute it; the profiles refute it at once, and the
+    walk meets a groupoid isomorphism at node 32."""
+    orders = (2,) * 5
+    gpd, by_id = _abelian(orders)
+    twisted = _cocycle(gpd, by_id, orders, {(0, 1): 1, (2, 3): 1}, {})
+    result = twists_isomorphic(Cocycle.trivial(gpd), twisted, budget=1000)
+    assert (result.status, result.groupoids_isomorphic, result.nodes_visited) == \
+        ("not_isomorphic", True, 32)
+
+
+def _profiles(c: Cocycle, grid: int):
+    return _pairing_profiles(c.groupoid, _commutator_pairing(c, grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(COCYCLES)), data=st.data())
+def test_the_refutation_cannot_see_a_coboundary(name, data):
+    """sigma and sigma + delta b have the same profile multiset, for b drawn as
+    _twisted_abelian draws it (vanishing on the units), off-grid denominators too."""
+    c = COCYCLES[name]
+    gpd = c.groupoid
+    d = data.draw(st.sampled_from((2, 3, 4, 12, 100)))
+    b = {g: Fraction(data.draw(st.integers(0, d - 1)), d)
+         for g in gpd.elements if not gpd.is_unit(g)}
+    values = {}
+    for (g, h), gh in gpd.compose.items():
+        turns = (c(g, h).turns + b.get(g, 0) + b.get(h, 0) - b.get(gh, 0)) % 1
+        if turns:
+            values[(g, h)] = Phase(turns)
+    shifted = Cocycle(gpd, values)
+    grid = math.lcm(c.grid, shifted.grid)
+    assert _profiles(c, grid) == _profiles(shifted, grid)
+
+
+@pytest.mark.parametrize("a, b", [("V4", "V4_pauli"), ("V4_pauli+R2", "R2+V4_pauli")],
+                         ids=["refuted", "labelled-walk"])
+def test_one_pairing_per_cocycle(a, b, monkeypatch):
+    """twists_isomorphic takes each cocycle's whole turns and its commutator
+    pairing at most once."""
+    calls = []
+    whole_turns, pairing = Cocycle.whole_turns, algebra._commutator_pairing
+
+    def counted_turns(self, grid):
+        calls.append(("whole_turns", id(self)))
+        return whole_turns(self, grid)
+
+    def counted_pairing(c, *args):
+        calls.append(("pairing", id(c)))
+        return pairing(c, *args)
+
+    monkeypatch.setattr(Cocycle, "whole_turns", counted_turns)
+    monkeypatch.setattr(algebra, "_commutator_pairing", counted_pairing)
+    result = twists_isomorphic(COCYCLES[a], COCYCLES[b])
+    assert result.status == ("not_isomorphic" if a == "V4" else "isomorphic")
+    assert calls and all(calls.count(call) == 1 for call in calls)
+
+
 @pytest.mark.parametrize("a, b", [("V4", "V4_pauli"), ("Z4xZ4", "Z4sdZ4")],
                          ids=["V4-vs-V4_pauli", "Z4xZ4-vs-Z4sdZ4"])
 def test_one_budget_bounds_the_walk(a, b):
@@ -239,10 +338,10 @@ def test_one_budget_bounds_the_walk(a, b):
 
 
 @pytest.mark.parametrize("a, b, budget, groupoids_iso", [
-    ("V4", "V4_pauli", 10, True),  # the walk meets a groupoid isomorphism at node 4
-    ("V4", "V4_pauli", 3, None),
+    ("V4", "V4_cob", 10, True),  # the walk meets a groupoid isomorphism at node 4
+    ("V4", "V4_pauli", 3, None),  # refuted by the pairing, but the walk has not met one
     ("Z4xZ4", "Z4sdZ4", 600, None),  # there is no groupoid isomorphism to meet
-], ids=["V4-vs-V4_pauli-10", "V4-vs-V4_pauli-3", "Z4xZ4-vs-Z4sdZ4-600"])
+], ids=["V4-vs-V4_cob-10", "V4-vs-V4_pauli-3", "Z4xZ4-vs-Z4sdZ4-600"])
 def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, groupoids_iso, tmp_path):
     """compare writes the whole TwistIsoResult: out of budget, it still says whether
     the walk met a groupoid isomorphism, and null only when it met none."""
@@ -266,12 +365,15 @@ def _load_workloads():
     return module
 
 
-# The benchmark's compare pairs: nodes visited by the one walk, pruned after its
-# first groupoid isomorphism.  The pruned search and its plain follow-up walk
-# visited 451, 228, 104, 14, 0, 24 and 16 together; the unpruned search visited
-# 38,155, 8,156, 4,912, 16, 0, 24 and 16.
-COMPARE_NODES = {"Z2cubedxZ3_vs_tw": 444, "Z4xZ2xZ2_vs_tw": 225, "Z4xZ4_vs_tw": 99,
-                 "V4_vs_pauli": 11, "Z4_vs_V4": 0, "self": 24, "V4_vs_cob": 16}
+# The benchmark's compare pairs: nodes visited by the one walk.  The four
+# untwisted/twisted pairs are refuted by their pairing profiles, so the walk
+# only meets the first groupoid isomorphism; the other three walk as before.
+# The walk pruned after its first groupoid isomorphism, with no refutation,
+# visited 444, 225, 99, 11, 0, 24 and 16; the pruned search and its plain
+# follow-up walk 451, 228, 104, 14, 0, 24 and 16; the unpruned search 38,155,
+# 8,156, 4,912, 16, 0, 24 and 16.
+COMPARE_NODES = {"Z2cubedxZ3_vs_tw": 24, "Z4xZ2xZ2_vs_tw": 16, "Z4xZ4_vs_tw": 16,
+                 "V4_vs_pauli": 4, "Z4_vs_V4": 0, "self": 24, "V4_vs_cob": 16}
 
 
 def test_benchmark_compare_pairs_are_pruned():
