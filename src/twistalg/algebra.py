@@ -225,13 +225,10 @@ def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) 
     return TwistIsoResult("not_isomorphic", None, tracker.used, met)
 
 
-def _commutator_pairing(c: Cocycle, grid: int,
-                        turns: dict | None = None) -> dict[tuple[str, str], int]:
+def _commutator_pairing(c: Cocycle, grid: int, turns: dict) -> dict[tuple[str, str], int]:
     """(x, y) -> c(x, y) - c(y, x) in whole 1/grid turns, mod grid, for each
-    pair with xy = yx (grid a multiple of c.grid); turns, if given, is
-    c.whole_turns(grid)."""
+    pair with xy = yx (grid a multiple of c.grid); turns is c.whole_turns(grid)."""
     compose = c.groupoid.compose
-    turns = c.whole_turns(grid) if turns is None else turns
     return {(x, y): (turns.get((x, y), 0) - turns.get((y, x), 0)) % grid
             for (x, y), p in compose.items() if compose.get((y, x)) == p}
 

@@ -72,13 +72,6 @@ def _split_pair(key: str) -> tuple[str, str]:
     return g, h
 
 
-def _ids(values, field: str, what: str) -> None:
-    """Refuse, by name, the first id in values that is not a string."""
-    if not set(map(type, values)) <= {str}:  # one pass; the loop below names the offender
-        for e in values:
-            _typed(e, str, f"each id in {what}'s {field!r}")
-
-
 def groupoid_from_dict(doc: dict, what: str) -> FiniteGroupoid:
     elements, units = (_typed(doc.get(k), list, f"{what}'s {k!r}") for k in ("elements", "units"))
     source, range_, inverse = (_typed(doc.get(k), dict, f"{what}'s {k!r}")
@@ -87,14 +80,13 @@ def groupoid_from_dict(doc: dict, what: str) -> FiniteGroupoid:
     for field, ids in (("elements", elements), ("units", units), ("source", source.values()),
                        ("range", range_.values()), ("inverse", inverse.values()),
                        ("compose", compose_raw.values())):
-        _ids(ids, field, what)
-    if "|" in "".join(elements):
-        bad = next(e for e in elements if "|" in e)
-        raise InputError(f"element id {bad!r} may not contain '|'")
-    try:
-        compose = {(g, h): v for k, v in compose_raw.items() for g, h in (k.split("|"),)}
-    except ValueError:  # a key without exactly one '|': name the first
-        compose = {_split_pair(k): v for k, v in compose_raw.items()}
+        for e in ids:
+            if not isinstance(e, str):  # the name is formatted for the offender only
+                _typed(e, str, f"each id in {what}'s {field!r}")
+    for e in elements:
+        if "|" in e:
+            raise InputError(f"element id {e!r} may not contain '|'")
+    compose = {_split_pair(k): v for k, v in compose_raw.items()}
     name = _typed(doc["name"], str, f"{what}'s 'name'") if "name" in doc else "groupoid"
     return FiniteGroupoid(name, elements, units, source, range_, inverse, compose)
 

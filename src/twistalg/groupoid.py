@@ -10,7 +10,7 @@ which keeps reports deterministic.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -199,7 +199,6 @@ def table_violations(g: FiniteGroupoid) -> list[Violation]:
         if g.source[g.inverse[e]] != g.range[e] or g.range[g.inverse[e]] != g.source[e]:
             bad("inverse-swaps", (e,), "inverse must swap source and range")
 
-    present = 0  # composable pairs in the table
     for (a, b), c in g.compose.items():
         if a not in ids or b not in ids or c not in ids:
             bad("compose-ids", (a, b, c), "composition entry uses unknown id")
@@ -207,13 +206,12 @@ def table_violations(g: FiniteGroupoid) -> list[Violation]:
         if g.source[a] != g.range[b]:
             bad("compose-domain", (a, b), "non-composable pair composed")
             continue
-        present += 1
         if g.source[c] != g.source[b] or g.range[c] != g.range[a]:
             bad("compose-endpoints", (a, b, c), "product has wrong source or range")
-    ranges = Counter(g.range[e] for e in g.elements)
-    if present < sum(ranges[g.source[e]] for e in g.elements):  # the loop names each missing pair
-        for a, b in itertools.product(g.elements, repeat=2):
-            if g.source[a] == g.range[b] and (a, b) not in g.compose:
+    fibers = g.range_fibers()  # the composable pairs, in element order
+    for a in g.elements:
+        for b in fibers.get(g.source[a], ()):
+            if (a, b) not in g.compose:
                 bad("compose-total", (a, b), "composable pair missing from table")
     return out
 

@@ -192,6 +192,10 @@ def test_twisted_component_of_a_union_is_told_apart():
     assert result.status == "not_isomorphic" and result.groupoids_isomorphic
 
 
+def _pairing(c: Cocycle, grid: int):
+    return _commutator_pairing(c, grid, c.whole_turns(grid))
+
+
 LABELLED_PAIRS = [("V4", "V4_pauli"), ("V4_pauli", "V4_pauli"),
                   ("V4_pauli+R2", "V4+R2"), ("V4_pauli+R2", "R2+V4_pauli")]
 
@@ -202,7 +206,7 @@ def test_labelled_walk_yields_the_first_map_then_pairing_preserving_maps(a, b):
     exactly the later ones that preserve the commutator pairing, in order."""
     ca, cb = COCYCLES[a], COCYCLES[b]
     grid = math.lcm(ca.grid, cb.grid)
-    pairing_a, pairing_b = _commutator_pairing(ca, grid), _commutator_pairing(cb, grid)
+    pairing_a, pairing_b = _pairing(ca, grid), _pairing(cb, grid)
     pairs = {}
     for (x, e), v in pairing_a.items():
         pairs.setdefault(e, []).append((x, v))
@@ -256,7 +260,7 @@ def test_non_abelian_isotropy_is_refuted_and_matched_as_the_oracle():
                                       (x[2] + y[2]) % 2), (4, 2, 2), 0, 2)
     z2d4 = _d4_times_z2(lambda x, y: ((x[0] + y[0]) % 2, (x[1] + (-1) ** x[2] * y[1]) % 4,
                                       (x[2] + y[2]) % 2), (2, 4, 2), 1, 0)
-    assert sum(v != 0 for v in _commutator_pairing(d4z2, 2).values()) == 48
+    assert sum(v != 0 for v in _pairing(d4z2, 2).values()) == 48
     same = _assert_matches_oracle(d4z2, z2d4)
     assert same.status == "isomorphic"
     assert same.nodes_visited == _unpruned_twists_isomorphic(d4z2, z2d4).nodes_visited == 34
@@ -278,7 +282,7 @@ def test_a_rank_four_twist_on_z2_to_the_fifth_is_refuted_within_a_small_budget()
 
 
 def _profiles(c: Cocycle, grid: int):
-    return _pairing_profiles(c.groupoid, _commutator_pairing(c, grid))
+    return _pairing_profiles(c.groupoid, _pairing(c, grid))
 
 
 @settings(max_examples=60, deadline=None)
