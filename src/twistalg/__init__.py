@@ -5,9 +5,7 @@ scale with executable certificates."""
 
 from .algebra import (
     AlgebraElement,
-    Cocycle,
     MatrixImage,
-    Phase,
     TwistedAlgebra,
     convolve,
     cstar_norm,
@@ -15,11 +13,9 @@ from .algebra import (
     involution,
     is_diagonal,
     is_monomial,
-    pauli_cocycle,
     reduced_norm_formula,
     regular_representation,
     standard_contexts,
-    twists_isomorphic,
 )
 from .errors import ConsistencyError, InputError, NotCartanError
 from .groupoid import (
@@ -77,5 +73,6 @@ from .semigroups import (
     csum_closure,
     membership,
 )
+from .twists import Cocycle, Phase, pauli_cocycle, twists_isomorphic
 
 __version__ = "0.1.0"

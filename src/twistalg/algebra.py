@@ -6,250 +6,26 @@ the twisted convolution
     (a * b)(g) = sum over hk = g of sigma(h, k) a(h) b(k)
 
 with involution a*(g) = conj(sigma(g, g^-1)) conj(a(g^-1)) and the
-diagonal map E restricting coefficients to the unit space.  Phases are
-kept as exact rational turns; coefficients are double-precision complex.
-Each context turns its cocycle into product and star tables of complex
-values once, and the coefficient kernels read only those tables.  The
+diagonal map E restricting coefficients to the unit space.  The cocycle
+(twistalg.twists) keeps whole turns; coefficients are double-precision
+complex.  Each context turns its cocycle into product and star tables of
+complex values once, and the coefficient kernels read only those tables.  The
 twist itself is never materialized as a set, it lives entirely in the
 cocycle and in (phase, element) pairs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError
-from .groupoid import (
-    DEFAULT_ISO_BUDGET,
-    BudgetExhausted,
-    FiniteGroupoid,
-    IsoResult,
-    _Budget,
-    is_bisection,
-    iter_isomorphisms,
-    klein_four,
-    standard_fixtures,
-)
+from .groupoid import FiniteGroupoid, is_bisection, klein_four, standard_fixtures
+from .twists import Cocycle, Phase, pauli_cocycle, turns_to_complex  # noqa: F401 (re-export)
 
-MAX_SNAP_DENOMINATOR = 10**12
 DEFAULT_ZERO_TOL = 1e-9
-
-_EXACT_TURNS = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(3, 4): -1j,
-}
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Unit-modulus scalar exp(2*pi*i*turns) with turns a rational in [0, 1).
-
-    Multiplication adds turns mod 1 and conjugation negates them, so phase
-    arithmetic is exact; the complex view is only taken at the boundary to
-    coefficient arithmetic.
-    """
-
-    turns: Fraction
-
-    @staticmethod
-    def of(p: int, q: int = 1) -> "Phase":
-        return Phase(Fraction(p, q) % 1)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase((self.turns + other.turns) % 1)
-
-    def conj(self) -> "Phase":
-        return Phase((-self.turns) % 1)
-
-    @property
-    def complex(self) -> complex:
-        exact = _EXACT_TURNS.get(self.turns)
-        if exact is not None:
-            return exact
-        return cmath.exp(2j * cmath.pi * float(self.turns))
-
-    @staticmethod
-    def from_complex(z: complex, denominator: int) -> "Phase":
-        """Snap a unit-modulus complex number to the nearest multiple of 1/denominator turn."""
-        if denominator > MAX_SNAP_DENOMINATOR:
-            raise InputError(f"phases finer than 1/{MAX_SNAP_DENOMINATOR} turn cannot be "
-                             f"recovered from a float angle (asked for 1/{denominator})")
-        if abs(abs(z) - 1.0) > 1e-6:
-            raise InputError(f"not a unit-modulus scalar: {z!r}")
-        turns = Fraction(round(cmath.phase(z) / (2 * cmath.pi) * denominator), denominator) % 1
-        if abs(Phase(turns).complex - z) > 1e-6:
-            raise InputError(f"phase {z!r} is not close to a multiple of 1/{denominator} turn")
-        return Phase(turns)
-
-    def __repr__(self) -> str:
-        return f"Phase({self.turns})"
-
-
-PHASE_ONE = Phase(Fraction(0))
-
-
-class Cocycle:
-    """A normalized T-valued 2-cocycle on the composable pairs of a groupoid.
-
-    Stored sparsely: absent pairs have phase 1.  Validation is exact (whole
-    numbers of 1/grid turns) and violations are reported, never normalized away.
-    """
-
-    def __init__(self, groupoid: FiniteGroupoid, values: dict):
-        self.groupoid = groupoid
-        self.values: dict[tuple[str, str], Phase] = {}
-        for (g, h), phase in values.items():
-            if (g, h) not in groupoid.compose:
-                raise InputError(f"cocycle entry on non-composable pair ({g!r}, {h!r})")
-            if not isinstance(phase, Phase):
-                raise InputError(f"cocycle value for ({g!r}, {h!r}) is not a Phase")
-            if phase.turns != 0:
-                self.values[(g, h)] = phase
-
-    @staticmethod
-    def trivial(groupoid: FiniteGroupoid) -> "Cocycle":
-        return Cocycle(groupoid, {})
-
-    @property
-    def grid(self) -> int:
-        """The lcm L of the phases' denominators (1 if trivial): each phase is k/L turns."""
-        return math.lcm(*(p.turns.denominator for p in self.values.values()))
-
-    def whole_turns(self, grid: int) -> dict[tuple[str, str], int]:
-        """Each stored (nonzero) phase as k whole 1/grid turns, grid a multiple of self.grid."""
-        return {pair: p.turns.numerator * (grid // p.turns.denominator)
-                for pair, p in self.values.items()}
-
-    def __call__(self, g: str, h: str) -> Phase:
-        if (g, h) not in self.groupoid.compose:
-            raise InputError(f"cocycle queried on non-composable pair ({g!r}, {h!r})")
-        return self.values.get((g, h), PHASE_ONE)
-
-    def violations(self) -> list[dict]:
-        """Exact check of normalization and the 2-cocycle identity in whole numbers
-        of 1/grid turns, over the composable triples only (c in the range fiber of
-        s(b)).  A pair missing from the table raises as a query on it does."""
-        g = self.groupoid
-        grid = self.grid
-        turns = {**dict.fromkeys(g.compose, 0), **self.whole_turns(grid)}
-
-        def t(x: str, y: str) -> int:
-            return turns[(x, y)] if (x, y) in turns else self(x, y)  # self(x, y) raises
-
-        out = []
-        for e in g.elements:
-            if t(g.range[e], e) != 0 or t(e, g.source[e]) != 0:
-                out.append({"axiom": "cocycle-normalized", "witness": [e]})
-        fibers = g.range_fibers()
-        for (a, b), ab in g.compose.items():
-            t_ab = turns[(a, b)]
-            for c in fibers.get(g.source[b], ()):
-                try:
-                    defect = t_ab + turns[(ab, c)] - turns[(b, c)] - turns[(a, g.compose[(b, c)])]
-                except KeyError:  # replay the queries in order: the first missing pair raises
-                    t(ab, c), t(b, c), t(a, g.compose[(b, c)])
-                    raise
-                if defect % grid != 0:
-                    out.append({"axiom": "cocycle-identity", "witness": [a, b, c]})
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            f"{g}|{h}": {"turns": [p.turns.numerator, p.turns.denominator]}
-            for (g, h), p in sorted(self.values.items())
-        }
-
-
-@dataclass(frozen=True)
-class TwistIsoResult(IsoResult):
-    """An IsoResult with the groupoid verdict the twist search settles on the way
-    (None when the budget ran out before a groupoid isomorphism was met)."""
-
-    groupoids_isomorphic: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "groupoids_isomorphic": self.groupoids_isomorphic}
-
-
-def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) -> TwistIsoResult:
-    """Search for an isomorphism of the twists defined by two cocycles.
-
-    A groupoid isomorphism phi counts when it carries the cocycle exactly,
-    b(phi(g), phi(h)) == a(g, h) on every composable pair.  Cocycles that
-    differ only by a coboundary are not identified.
-
-    The verdict is settled in order by the element signatures, by the
-    commutator pairing a(x, y) - a(y, x) on commuting pairs (Kleppner, 1965),
-    then by one walk under one budget.  A carrying map preserves the
-    signatures and the pairing, and a coboundary adds nothing to the pairing,
-    so two cocycles whose multisets of per-element pairing profiles differ
-    are not_isomorphic; the walk then runs unlabelled only to settle
-    `groupoids_isomorphic` (None when the budget runs out first, with the
-    status inconclusive).  Otherwise the walk's first groupoid isomorphism
-    settles `groupoids_isomorphic`, and after it the walk is pruned by the
-    pairing, so the first carrying map found is the unpruned walk's.
-    """
-    grid = math.lcm(a.grid, b.grid)
-    ta, tb = a.whole_turns(grid), b.whole_turns(grid)
-    pairing_a, pairing_b = _commutator_pairing(a, grid, ta), _commutator_pairing(b, grid, tb)
-    refuted = _pairing_profiles(a.groupoid, pairing_a) != _pairing_profiles(b.groupoid, pairing_b)
-    pairs = tuple(a.groupoid.compose)
-
-    def carries(m: dict[str, str]) -> bool:
-        return all(ta.get((g, h), 0) == tb.get((m[g], m[h]), 0) for g, h in pairs)
-
-    def labels():
-        by_element = {}
-        for (x, e), v in pairing_a.items():
-            by_element.setdefault(e, []).append((x, v))
-        return by_element, pairing_b
-
-    tracker, met = _Budget(budget), False
-    try:
-        if refuted:
-            met = next(iter_isomorphisms(a.groupoid, b.groupoid, tracker), None) is not None
-            return TwistIsoResult("not_isomorphic", None, tracker.used, met)
-        for mapping in iter_isomorphisms(a.groupoid, b.groupoid, tracker, labels):
-            if carries(mapping):
-                return TwistIsoResult("isomorphic", mapping, tracker.used, True)
-            met = True
-    except BudgetExhausted:
-        return TwistIsoResult("inconclusive", None, tracker.used, met or None)
-    return TwistIsoResult("not_isomorphic", None, tracker.used, met)
-
-
-def _commutator_pairing(c: Cocycle, grid: int, turns: dict) -> dict[tuple[str, str], int]:
-    """(x, y) -> c(x, y) - c(y, x) in whole 1/grid turns, mod grid, for each
-    pair with xy = yx (grid a multiple of c.grid); turns is c.whole_turns(grid)."""
-    compose = c.groupoid.compose
-    return {(x, y): (turns.get((x, y), 0) - turns.get((y, x), 0)) % grid
-            for (x, y), p in compose.items() if compose.get((y, x)) == p}
-
-
-def _pairing_profiles(g: FiniteGroupoid, pairing: dict[tuple[str, str], int]) -> list:
-    """The sorted multiset of (signature of e, sorted pairing[(x, e)] over the x
-    that commute with e) over the elements e of g; a carrying map preserves it."""
-    values = {e: [] for e in g.elements}
-    for (_, e), v in pairing.items():
-        values[e].append(v)
-    sigs = g.signatures
-    return sorted((sigs[e], sorted(vs)) for e, vs in values.items())
-
-
-def pauli_cocycle(v4: FiniteGroupoid) -> Cocycle:
-    """The sign cocycle sigma((a,b),(c,d)) = (-1)^(b*c) on the Klein group."""
-    vals = {}
-    for g, h in v4.compose:
-        if int(g[1]) * int(h[0]) % 2 == 1:
-            vals[(g, h)] = Phase.of(1, 2)
-    return Cocycle(v4, vals)
 
 
 class TwistedAlgebra:
@@ -275,13 +51,14 @@ class TwistedAlgebra:
         self.name = name or groupoid.name
         # h -> k -> (hk, sigma(h, k)) and g -> (g^-1, conj(sigma(g^-1, g))), with the
         # phases taken to complex once here for the coefficient kernels.
+        grid, turns = self.cocycle.grid, self.cocycle.turns
         self._product = {g: {} for g in groupoid.elements}
         for (h, k), hk in groupoid.compose.items():
-            self._product[h][k] = (hk, self.cocycle(h, k).complex)
+            self._product[h][k] = (hk, turns_to_complex(turns.get((h, k), 0), grid))
         self._star = {}
         for g in groupoid.elements:
-            phase, ginv = self.delta_star(g)
-            self._star[g] = (ginv, phase.complex)
+            ginv = groupoid.inverse[g]
+            self._star[g] = (ginv, turns_to_complex(-turns.get((ginv, g), 0) % grid, grid))
         # The commutant basis, solved once by masa.commutant_basis, the
         # g -> (delta_g^*, source point, range point) frame, built once by
         # reconstruction._point_frame, and the regular representation's index
@@ -291,7 +68,7 @@ class TwistedAlgebra:
         self._layout = None
 
     def __repr__(self) -> str:
-        twisted = "twisted" if self.cocycle.values else "untwisted"
+        twisted = "twisted" if self.cocycle.turns else "untwisted"
         return f"TwistedAlgebra({self.name!r}, {twisted}, dim {self.dimension})"
 
     # -- element constructors ------------------------------------------------
@@ -320,19 +97,17 @@ class TwistedAlgebra:
             out[u] = 1 + 0j
         return AlgebraElement(self, out)
 
-    # -- exact basis-level products -------------------------------------------
+    # -- basis-level products, read from the tables ------------------------------
 
-    def delta_product(self, g: str, h: str) -> tuple[Phase, str] | None:
-        """delta_g * delta_h as an exact (phase, element) pair, None if zero."""
-        k = self.groupoid.product(g, h)
-        if k is None:
-            return None
-        return self.cocycle(g, h), k
+    def delta_product(self, g: str, h: str) -> tuple[complex, str] | None:
+        """delta_g * delta_h as a (phase, element) pair, None if zero."""
+        entry = self._product.get(g, {}).get(h)
+        return None if entry is None else (entry[1], entry[0])
 
-    def delta_star(self, g: str) -> tuple[Phase, str]:
-        """delta_g^* as an exact (phase, element) pair."""
-        ginv = self.groupoid.inverse[g]
-        return self.cocycle(ginv, g).conj(), ginv
+    def delta_star(self, g: str) -> tuple[complex, str]:
+        """delta_g^* as a (phase, element) pair."""
+        ginv, phase = self._star[g]
+        return phase, ginv
 
     @property
     def dimension(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import DEFAULT_ZERO_TOL, TwistedAlgebra, twists_isomorphic
+from .algebra import DEFAULT_ZERO_TOL, TwistedAlgebra
 from .errors import ConsistencyError, InputError, NotCartanError
 from .fileio import _load_report, content_hash, dumps, load_basis, load_groupoid_file
 from .groupoid import DEFAULT_ISO_BUDGET, validate_groupoid
@@ -36,6 +36,7 @@ from .suites import (
     relations_suite,
     states_suite,
 )
+from .twists import twists_isomorphic
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

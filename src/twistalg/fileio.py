@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import stat
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .algebra import AlgebraElement, Cocycle, Phase, TwistedAlgebra
+from .algebra import AlgebraElement, TwistedAlgebra
 from .errors import InputError
 from .groupoid import FiniteGroupoid, table_violations
 from .semigroups import BisectionBasis
+from .twists import Cocycle
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "a number", float: "a number", type(None): "null or missing"}
@@ -92,20 +93,21 @@ def groupoid_from_dict(doc: dict, what: str) -> FiniteGroupoid:
 
 
 def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
-    values, phases = {}, {}  # phases: (p, q) -> its Phase, built once per distinct value
+    ratios = {}
     for key, entry in doc.items():
         g, h = _split_pair(key)
         try:
             p, q = entry["turns"]
             if type(p) is not int or type(q) is not int:  # bool is an int subclass
                 raise TypeError(f"turns must be two integers, not {[p, q]!r}")
-            phase = phases.get((p, q))
-            if phase is None:
-                phase = phases[(p, q)] = Phase(Fraction(p, q) % 1)
-            values[(g, h)] = phase
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            if q == 0:
+                raise ZeroDivisionError(f"Fraction({p}, 0)")
+            ratios[(g, h)] = p, q
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad cocycle entry for {key!r}: {exc}") from exc
-    return Cocycle(groupoid, values)
+    grid = math.lcm(*{q for _, q in ratios.values()})
+    return Cocycle.from_turns(groupoid, grid, {pair: p * (grid // q)
+                                               for pair, (p, q) in ratios.items()})
 
 
 def load_groupoid_file(path: str | Path):

@@ -362,6 +362,8 @@ def swap_transformation_groupoid() -> FiniteGroupoid:
 
 
 def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid, name: str) -> FiniteGroupoid:
+    if a.name == b.name:  # ids are prefixed by the part's name
+        raise InputError(f"the parts of a disjoint union share the name {a.name!r}")
     pa, pb = a.name + ":", b.name + ":"
     elems = [pa + e for e in a.elements] + [pb + e for e in b.elements]
     units = [pa + u for u in a.units] + [pb + u for u in b.units]

@@ -17,8 +17,6 @@ from dataclasses import asdict, dataclass
 
 from .algebra import (
     AlgebraElement,
-    Cocycle,
-    Phase,
     TwistedAlgebra,
     cstar_norm,
     diagonal,
@@ -47,6 +45,7 @@ from .semigroups import (
     sample_members,
 )
 from .seeds import DEFAULT_SEED, substream
+from .twists import Cocycle, complex_to_turns, turns_to_complex
 
 
 # -- ultrafilters ----------------------------------------------------------------
@@ -65,8 +64,7 @@ class Ultrafilter:
         return abs(a.coeff(self.g)) > self.ctx.zero_tol
 
     def star(self) -> "Ultrafilter":
-        phase, ginv = self.ctx.delta_star(self.g)
-        return Ultrafilter(self.ctx, ginv)
+        return Ultrafilter(self.ctx, self.ctx.delta_star(self.g)[1])
 
     def source_point(self) -> str:
         return _point_frame(self.ctx)[self.g][1]
@@ -229,11 +227,11 @@ class TwistPoint:
         if prod is None:
             return None
         sigma, gh = prod
-        return TwistPoint(self.ctx, self.phase * other.phase * sigma.complex, gh)
+        return TwistPoint(self.ctx, self.phase * other.phase * sigma, gh)
 
     def inverse(self) -> "TwistPoint":
         phase, ginv = self.ctx.delta_star(self.g)
-        return TwistPoint(self.ctx, self.phase.conjugate() * phase.complex, ginv)
+        return TwistPoint(self.ctx, self.phase.conjugate() * phase, ginv)
 
     def approx_eq(self, other: "TwistPoint") -> bool:
         return self.g == other.g and abs(self.phase - other.phase) <= 1e-9
@@ -257,16 +255,15 @@ def recover_cocycle(ctx: TwistedAlgebra) -> tuple[Cocycle, float]:
     cocycle uses; an L above MAX_SNAP_DENOMINATOR raises InputError.
     """
     gpd = ctx.groupoid
-    grid = ctx.cocycle.grid
-    values: dict[tuple[str, str], Phase] = {}
+    grid, own = ctx.cocycle.grid, ctx.cocycle.turns
+    turns: dict[tuple[str, str], int] = {}
     residual = 0.0
     for (g, h), gh in gpd.compose.items():
         u = ultrafilter_at(ctx, gh)
         val = angle(u, ctx.delta(g) * ctx.delta(h), ctx.delta(gh))
-        residual = max(residual, abs(val - ctx.cocycle(g, h).complex))
-        values[(g, h)] = Phase.from_complex(val, grid)
-    recovered = Cocycle(gpd, values)
-    return recovered, residual
+        residual = max(residual, abs(val - turns_to_complex(own.get((g, h), 0), grid)))
+        turns[(g, h)] = complex_to_turns(val, grid)
+    return Cocycle.from_turns(gpd, grid, turns), residual
 
 
 # -- the hat map ------------------------------------------------------------------
@@ -693,8 +690,8 @@ def reconstruct(ctx: TwistedAlgebra, spec: SemigroupSpec | None = None,
     recovered, residual = out.pop("recover_cocycle")
     summable = out.pop("summable_image")
     # Each relabelled pair was formed by recover_cocycle, so the rebuilt table holds it.
-    rebuilt_cocycle = Cocycle(rebuilt, {(label[g], label[h]): p
-                                        for (g, h), p in recovered.values.items()})
+    rebuilt_cocycle = Cocycle.from_turns(rebuilt, recovered.grid, {
+        (label[g], label[h]): t for (g, h), t in recovered.turns.items()})
     # The stages left are the theorem reports; they go in in report order.
     theorems = {"rebuilt_groupoid_axioms": rebuilt_axioms, **{n: out[n] for n in stages if n in out}}
 

@@ -208,12 +208,14 @@ def _isotropy_unitary_candidates(ctx: TwistedAlgebra, rng, count: int):
 
 
 def sample_members(spec: SemigroupSpec, rng, count: int = 40) -> list[AlgebraElement]:
-    """Generators plus random members of the spec's semigroup."""
+    """Generators plus random members of the spec's semigroup.  The deltas and
+    diagonals are all drawn first, then kept only if they are members."""
     ctx = spec.ctx
     covered = spec.basis.covered if spec.basis is not None else set(ctx.groupoid.elements)
-    members = [ctx.delta(g, random_coeff(rng)) for g in ctx.groupoid.elements if g in covered]
-    members.append(ctx.zero())
-    members.extend(random_diagonal(ctx, rng) for _ in range(count // 4))
+    drawn = [ctx.delta(g, random_coeff(rng)) for g in ctx.groupoid.elements if g in covered]
+    drawn.append(ctx.zero())
+    drawn.extend(random_diagonal(ctx, rng) for _ in range(count // 4))
+    members = [m for m in drawn if membership(spec, m)]
     attempts = 0
     while len(members) < count + len(covered) and attempts < 20 * count:
         attempts += 1

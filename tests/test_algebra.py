@@ -1,3 +1,4 @@
+import cmath
 import importlib.util
 import itertools
 import math
@@ -20,6 +21,7 @@ from twistalg import (
     reduced_norm_formula,
     regular_representation,
 )
+from twistalg import algebra
 from twistalg.algebra import (
     AlgebraElement,
     _representation_layout,
@@ -41,6 +43,7 @@ from twistalg.groupoid import (
 from twistalg.reconstruction import hat, source_state, ultrafilter_at
 from twistalg.seeds import substream
 from twistalg.suites import norms_suite
+from twistalg.twists import complex_to_turns, turns_to_complex
 from twistalg.semigroups import (
     SemigroupSpec,
     _bisection_pattern_pairs,
@@ -52,6 +55,21 @@ from twistalg.semigroups import (
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
+_QUARTER_TURNS = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j, Fraction(1, 2): -1 + 0j,
+                  Fraction(3, 4): -1j}
+
+
+def _fraction_complex(turns: Fraction) -> complex:
+    """exp(2 pi i turns) by the Fraction route, the oracle of turns_to_complex:
+    exact at the quarter turns, else from float(turns)."""
+    turns %= 1
+    exact = _QUARTER_TURNS.get(turns)
+    return exact if exact is not None else cmath.exp(2j * cmath.pi * float(turns))
+
+
+def _sigma(ctx, g, h) -> complex:
+    return _fraction_complex(ctx.cocycle(g, h).turns)
+
 
 def brute_convolution(ctx, a, b):
     """Independent oracle: the defining double sum, no sparsity tricks."""
@@ -61,7 +79,7 @@ def brute_convolution(ctx, a, b):
             g = ctx.groupoid.product(h, k)
             if g is None:
                 continue
-            out[g] = out.get(g, 0j) + ctx.cocycle(h, k).complex * a.coeff(h) * b.coeff(k)
+            out[g] = out.get(g, 0j) + _sigma(ctx, h, k) * a.coeff(h) * b.coeff(k)
     return ctx.element(out)
 
 
@@ -213,20 +231,22 @@ def test_reduced_norm_formula_gap_r3(r3):
     assert abs(reduced_norm_formula(a) - cstar_norm(a)) < 1e-9
 
 
+def _turns(ctx, g, h) -> int:
+    return ctx.cocycle.turns.get((g, h), 0)
+
+
 def test_exact_star_identity_on_basis(contexts):
-    """(delta_g delta_h)* = delta_h* delta_g* with exact phase arithmetic."""
+    """(delta_g delta_h)* = delta_h* delta_g*, in whole turns of the cocycle, on
+    the elements delta_product and delta_star return."""
     for ctx in contexts.values():
-        gpd = ctx.groupoid
-        for g, h in gpd.compose:
-            sigma, gh = ctx.delta_product(g, h)
-            lhs_phase = sigma.conj() * ctx.delta_star(gh)[0]
-            ph, hinv = ctx.delta_star(h)
-            pg, ginv = ctx.delta_star(g)
-            prod = ctx.delta_product(hinv, ginv)
-            assert prod is not None
-            rhs_phase = ph * pg * prod[0]
-            assert prod[1] == ctx.delta_star(gh)[1]
-            assert lhs_phase.turns == rhs_phase.turns
+        gpd, inv = ctx.groupoid, ctx.groupoid.inverse
+        for (g, h), gh in gpd.compose.items():
+            assert ctx.delta_product(g, h)[1] == gh
+            prod = ctx.delta_product(inv[h], inv[g])
+            assert prod is not None and prod[1] == ctx.delta_star(gh)[1] == inv[gh]
+            lhs = -_turns(ctx, g, h) - _turns(ctx, inv[gh], gh)
+            rhs = -_turns(ctx, inv[h], h) - _turns(ctx, inv[g], g) + _turns(ctx, inv[h], inv[g])
+            assert (lhs - rhs) % ctx.cocycle.grid == 0
 
 
 def test_exact_associativity_on_basis(v4_pauli):
@@ -234,12 +254,11 @@ def test_exact_associativity_on_basis(v4_pauli):
     for g, h, k in itertools.product(gpd.elements, repeat=3):
         if (g, h) not in gpd.compose or (h, k) not in gpd.compose:
             continue
-        p1, gh = v4_pauli.delta_product(g, h)
-        p2, ghk = v4_pauli.delta_product(gh, k)
-        q1, hk = v4_pauli.delta_product(h, k)
-        q2, ghk2 = v4_pauli.delta_product(g, hk)
-        assert ghk == ghk2
-        assert (p1 * p2).turns == (q1 * q2).turns
+        gh, hk = v4_pauli.delta_product(g, h)[1], v4_pauli.delta_product(h, k)[1]
+        assert v4_pauli.delta_product(gh, k)[1] == v4_pauli.delta_product(g, hk)[1]
+        defect = (_turns(v4_pauli, g, h) + _turns(v4_pauli, gh, k)
+                  - _turns(v4_pauli, h, k) - _turns(v4_pauli, g, hk))
+        assert defect % v4_pauli.cocycle.grid == 0
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
@@ -265,19 +284,27 @@ def test_associativity_property(xs, ys, zs):
 
 
 def test_phase_arithmetic_exact():
-    i = Phase.of(1, 4)
-    assert (i * i).turns.numerator == 1 and (i * i).turns.denominator == 2
-    assert (i * i).complex == -1
-    assert i.conj().complex == -1j
-    assert Phase.from_complex(-1j, 4).turns == Phase.of(3, 4).turns
+    assert turns_to_complex(2, 4) == -1 and turns_to_complex(1, 2) == -1
+    assert turns_to_complex(3, 4) == -1j and turns_to_complex(0, 7) == 1
+    assert complex_to_turns(-1j, 4) == 3 and complex_to_turns(1j, 8) == 2
     with pytest.raises(InputError):
-        Phase.from_complex(0.5 + 0j, 4)
+        complex_to_turns(0.5 + 0j, 4)
+
+
+@given(st.integers(1, 10**15), st.data())
+@settings(max_examples=300, deadline=None)
+def test_turns_to_complex_is_the_fraction_value_bit_for_bit(grid, data):
+    """t/grid turns, unreduced or not, give the double of the reduced Fraction."""
+    t = data.draw(st.integers(0, grid - 1))
+    assert turns_to_complex(t, grid) == _fraction_complex(Fraction(t, grid))
+    k = data.draw(st.integers(1, 1000))
+    assert turns_to_complex(t * k, grid * k) == turns_to_complex(t, grid)
 
 
 def test_cocycle_violations_rejected():
     g4 = klein_four("V4_bad")
     # a single sign entry breaks the cocycle identity
-    bad = Cocycle(g4, {("01", "10"): Phase.of(1, 2)})
+    bad = Cocycle(g4, {("01", "10"): Phase(Fraction(1, 2))})
     assert bad.violations()
     with pytest.raises(InputError):
         TwistedAlgebra(g4, bad)
@@ -350,7 +377,8 @@ def test_violations_take_no_fraction_sums(monkeypatch):
     z16 = cyclic_group(16, "Z16")
     b = {g: Fraction(i, 8 if i % 2 else 12) for i, g in enumerate(z16.elements) if i}
     valid = _coboundary(z16, b)
-    broken = Cocycle(z16, {**valid.values, (z16.elements[3], z16.elements[5]): Phase.of(1, 7)})
+    broken = Cocycle(z16, {**valid.values,
+                           (z16.elements[3], z16.elements[5]): Phase(Fraction(1, 7))})
     expected = _fraction_violations(broken)
     assert expected and not _fraction_violations(valid)
     assert valid.grid == 12 and broken.grid == 84 and Cocycle.trivial(z16).grid == 1
@@ -366,7 +394,7 @@ def test_violations_take_no_fraction_sums(monkeypatch):
 
 def test_cocycle_rejects_noncomposable_pairs(r2):
     with pytest.raises(InputError):
-        Cocycle(r2.groupoid, {("(1,2)", "(1,2)"): Phase.of(1, 2)})
+        Cocycle(r2.groupoid, {("(1,2)", "(1,2)"): Phase(Fraction(1, 2))})
 
 
 def test_context_mismatch_rejected(r2, r3):
@@ -424,8 +452,8 @@ def _draw_element(data, ctx, coeff=_COEFF):
 def _exact_involution(ctx, a):
     out = {}
     for g, c in a.coeffs.items():
-        phase, ginv = ctx.delta_star(g)
-        out[ginv] = phase.complex * c.conjugate()
+        ginv = ctx.groupoid.inverse[g]
+        out[ginv] = _fraction_complex(-ctx.cocycle(ginv, g).turns) * c.conjugate()
     return AlgebraElement(ctx, out)
 
 
@@ -439,7 +467,7 @@ def _exact_blocks(ctx, a):
         for h in fiber:
             for g, c in a.coeffs.items():
                 if (g, h) in gpd.compose:
-                    m[idx[gpd.compose[(g, h)]], idx[h]] += ctx.cocycle(g, h).complex * c
+                    m[idx[gpd.compose[(g, h)]], idx[h]] += _sigma(ctx, g, h) * c
         blocks[u] = m
     return blocks
 
@@ -458,10 +486,9 @@ def test_kernel_is_bit_exact_against_exact_route(contexts, name, data):
     gpd = ctx.groupoid
     assert sum(len(row) for row in ctx._product.values()) == len(gpd.compose)
     for (h, k), hk in gpd.compose.items():
-        assert ctx._product[h][k] == (hk, ctx.cocycle(h, k).complex)
-    for g in gpd.elements:
-        phase, ginv = ctx.delta_star(g)
-        assert ctx._star[g] == (ginv, phase.complex)
+        assert ctx._product[h][k] == (hk, _sigma(ctx, h, k))
+    for g, ginv in gpd.inverse.items():
+        assert ctx._star[g] == (ginv, _fraction_complex(-ctx.cocycle(ginv, g).turns))
     a, b = _draw_element(data, ctx), _draw_element(data, ctx)
     assert max_coeff_diff(convolve(a, b), brute_convolution(ctx, a, b)) == 0
     assert max_coeff_diff(involution(a), _exact_involution(ctx, a)) == 0
@@ -509,7 +536,7 @@ def _z3_squared_twist():
     inverse = {x: y for (x, y), p in compose.items() if p == "00"}
     source = dict.fromkeys(ids, "00")
     gpd = FiniteGroupoid("Z3sq_tw", ids, ["00"], source, dict(source), inverse, compose)
-    sigma = {(x, y): Phase.of(int(x[1]) * int(y[0]), 3) for x, y in compose}
+    sigma = {(x, y): Phase(Fraction(int(x[1]) * int(y[0]), 3)) for x, y in compose}
     return TwistedAlgebra(gpd, Cocycle(gpd, sigma))
 
 
@@ -609,7 +636,8 @@ def test_is_zero_agrees_with_the_support(contexts, name, data):
 
 
 def test_kernel_never_takes_exact_phases(monkeypatch, rng):
-    """The coefficient kernels read only the context tables, never Phase or Cocycle."""
+    """The coefficient kernels read only the context tables, never the cocycle or
+    the conversion of its turns to complex values."""
     z6 = cyclic_group(6, "Z6_cob")
     b = {g: Fraction(i, 8 if i % 2 else 100) for i, g in enumerate(z6.elements) if i}
     twisted = TwistedAlgebra(z6, _coboundary(z6, b), name="Z6_cob")
@@ -619,8 +647,9 @@ def test_kernel_never_takes_exact_phases(monkeypatch, rng):
     def refuse(*args):
         raise AssertionError("exact phase arithmetic in the coefficient kernel")
 
-    monkeypatch.setattr(Phase, "complex", property(refuse))
+    monkeypatch.setattr(algebra, "turns_to_complex", refuse)
     monkeypatch.setattr(Cocycle, "__call__", refuse)
+    monkeypatch.setattr(Cocycle, "values", property(refuse))
     for a, b in pairs:
         convolve(a, b)
         product_coeff(a, b, a.ctx.groupoid.elements[-1])

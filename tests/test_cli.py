@@ -189,10 +189,12 @@ def _bare_report(path, groupoid):
     return path
 
 
-def test_compare_follow_up_out_of_budget_exits_3(tmp_path):
-    """Z4 x Z4 against the non-abelian Z4 x| Z4: with no groupoid isomorphism to
-    find, the one walk that settles groupoids_isomorphic takes 1,168 nodes, so
-    compare is inconclusive below that budget rather than guessing."""
+def test_compare_follow_up_out_of_budget_exits_1(tmp_path):
+    """Z4 x Z4 against the non-abelian Z4 x| Z4: the pairing profiles refute the
+    pair (Z4 x| Z4 has fewer commuting pairs), so compare exits 1 at any budget.
+    With no groupoid isomorphism to find, the walk that settles
+    groupoids_isomorphic takes 1,168 nodes; below that budget its verdict is
+    null rather than guessed."""
     def group(name, mul):
         ids = [f"{a}{b}" for a in range(4) for b in range(4)]
         compose = {(x, y): "".join(map(str, mul(*map(int, x), *map(int, y))))
@@ -206,9 +208,11 @@ def test_compare_follow_up_out_of_budget_exits_3(tmp_path):
     b = _bare_report(tmp_path / "sd.json",
                      group("Z4sdZ4", lambda a, b, c, d: ((a + (-1) ** b * c) % 4, (b + d) % 4)))
     out = tmp_path / "cmp.json"
-    for budget in (600, 1167):
-        assert run("compare", a, b, "--iso-budget", budget, "--out", out) == 3
-        assert json.loads(out.read_text())["result"]["status"] == "inconclusive"
+    for budget in (0, 600, 1167):
+        assert run("compare", a, b, "--iso-budget", budget, "--out", out) == 1
+        assert json.loads(out.read_text())["result"] == {
+            "status": "not_isomorphic", "mapping": None, "nodes_visited": budget,
+            "groupoids_isomorphic": None}
     assert run("compare", a, b, "--iso-budget", 1168, "--out", out) == 1
     assert json.loads(out.read_text())["result"]["groupoids_isomorphic"] is False
 

@@ -158,6 +158,15 @@ def test_validate_matches_the_brute_force_sweep():
     assert associativity > 100
 
 
+def test_disjoint_union_refuses_parts_of_one_name():
+    """Ids are prefixed by the part's name: two parts named alike would share ids."""
+    with pytest.raises(InputError, match="share the name 'R2'"):
+        disjoint_union(full_relation(2), full_relation(2), "RR")
+    union = disjoint_union(full_relation(2, "A"), full_relation(2, "B"), "AB")
+    assert len(set(union.elements)) == len(union.elements) == 8
+    assert groupoids_isomorphic(union, union).status == "isomorphic"
+
+
 def test_bisection_examples():
     r2 = standard_fixtures()["R2"]
     assert is_bisection(r2, ["(1,2)"])

@@ -45,7 +45,13 @@ from twistalg.reconstruction import (
 )
 from twistalg.relations import dominates
 from twistalg.seeds import substream
-from twistalg.semigroups import BisectionBasis, membership, random_element, random_monomial
+from twistalg.semigroups import (
+    BisectionBasis,
+    membership,
+    random_element,
+    random_monomial,
+    sample_members,
+)
 from twistalg.suites import _random_restriction
 
 
@@ -631,9 +637,10 @@ UNCHECKED_FAMILIES = {
     "product": ("Z4", [[], ["0"], ["1"], ["3"]],
                 ["star-semigroup closure", "dense span (dimension 3)"], "star_witness",
                 r"product of AlgebraElement\(\S+\*d\[([13])\]\) and AlgebraElement\(\S+\*d\[\1\]\)"),
-    # Single units only: a diagonal element on two units is not a member.
+    # Single units only: a diagonal element on two units is not a member.  The
+    # sampled pool keeps only members, so the star check passes.
     "b-contained": ("R3", [[], *([u] for u in _R3_UNITS)],
-                    ["star-semigroup closure", "dense span (dimension 3)", "B contained in N"],
+                    ["dense span (dimension 3)", "B contained in N"],
                     "b_witness", r"AlgebraElement\(.*d\[\((\d),\1\)\].*d\[\((\d),\2\)\].*\)"),
 }
 
@@ -649,6 +656,20 @@ def test_an_unchecked_basis_fails_the_cartan_check_with_a_witness(contexts, case
     with pytest.raises(NotCartanError) as err:
         reconstruct(ctx, spec, seed=1)
     assert err.value.failures == tuple(failures)
+
+
+def test_no_cartan_witness_is_a_non_member(contexts):
+    """On the R3 family of single units most random diagonals are not members.
+    sample_members keeps only members, so no star or stability witness, each
+    drawn from its pool, is a non-member, at any seed."""
+    ctx = contexts["R3"]
+    singles = _unchecked_basis(ctx, [[], *([u] for u in _R3_UNITS)])
+    spec = SemigroupSpec.basis_restricted(ctx, singles)
+    for seed in range(8):
+        assert all(membership(spec, m) for m in sample_members(spec, substream(seed, "pool")))
+        report = check_cartan(spec, substream(seed, "cartan"))
+        assert (report.star_witness, report.stable_witness) == (None, None)
+        assert report.failures()[0] == "dense span (dimension 3)"
 
 
 def test_cross_reconstruction_distinguishes_z4_v4(contexts):

@@ -5,12 +5,16 @@ parser would need its own depth, encoding and type checks.  Every random
 generator is made in one place, `seeds.substream`, so that all sampling flows
 from the seed through named substreams.  The default seed, isomorphism budget
 and zero tolerance are each defined once, as a named constant, and reports
-hold only JSON types, so the writer needs no fallback encoder."""
+hold only JSON types, so the writer needs no fallback encoder.  Exact rational
+turns are Fractions only in `twists`, where cocycles are given and shown, and
+README's library map names every module."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twistalg"
+README = SRC.parent.parent / "README.md"
 
 
 def _trees() -> dict[str, ast.AST]:
@@ -123,3 +127,27 @@ def test_the_report_writer_has_no_fallback_encoder():
              and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"]
     assert len(calls) == 1
     assert [k.arg for k in calls[0].keywords if k.arg in ("default", "cls")] == []
+
+
+def _fraction_imports(tree: ast.AST) -> list[int]:
+    """Lines that import the fractions module or anything from it."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+            or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))]
+
+
+def test_only_twists_imports_fraction():
+    imports = {module: _fraction_imports(tree) for module, tree in _trees().items()}
+    assert {module for module, lines in imports.items() if lines} == {"twists"}
+
+
+def test_the_fraction_rule_sees_each_form():
+    forms = ["from fractions import Fraction", "import fractions", "from fractions import *"]
+    assert [_fraction_imports(ast.parse(text)) for text in forms] == [[1]] * len(forms)
+
+
+def test_the_library_map_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("## Library map"):].split("\n\n")[1]  # the block after the heading
+    named = {name for row in table.splitlines() for name in re.findall(r"`twistalg\.(\w+)`", row)}
+    assert named == {path.stem for path in SRC.glob("*.py")} - {"__init__"}

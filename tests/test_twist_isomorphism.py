@@ -15,17 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg.algebra import (
-    Cocycle,
-    Phase,
-    TwistIsoResult,
-    _commutator_pairing,
-    _pairing_profiles,
-    pauli_cocycle,
-    standard_contexts,
-    twists_isomorphic,
-)
-from twistalg import algebra
+from twistalg.algebra import standard_contexts
+from twistalg import twists
 from twistalg.cli import main
 from twistalg.groupoid import (
     BudgetExhausted,
@@ -36,6 +27,15 @@ from twistalg.groupoid import (
     groupoids_isomorphic,
     iter_isomorphisms,
     klein_four,
+)
+from twistalg.twists import (
+    Cocycle,
+    Phase,
+    TwistIsoResult,
+    _commutator_pairing,
+    _pairing_profiles,
+    pauli_cocycle,
+    twists_isomorphic,
 )
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -193,7 +193,8 @@ def test_twisted_component_of_a_union_is_told_apart():
 
 
 def _pairing(c: Cocycle, grid: int):
-    return _commutator_pairing(c, grid, c.whole_turns(grid))
+    scale = grid // c.grid
+    return _commutator_pairing(c, grid, {pair: t * scale for pair, t in c.turns.items()})
 
 
 LABELLED_PAIRS = [("V4", "V4_pauli"), ("V4_pauli", "V4_pauli"),
@@ -308,21 +309,15 @@ def test_the_refutation_cannot_see_a_coboundary(name, data):
 @pytest.mark.parametrize("a, b", [("V4", "V4_pauli"), ("V4_pauli+R2", "R2+V4_pauli")],
                          ids=["refuted", "labelled-walk"])
 def test_one_pairing_per_cocycle(a, b, monkeypatch):
-    """twists_isomorphic takes each cocycle's whole turns and its commutator
-    pairing at most once."""
+    """twists_isomorphic takes each cocycle's commutator pairing at most once."""
     calls = []
-    whole_turns, pairing = Cocycle.whole_turns, algebra._commutator_pairing
-
-    def counted_turns(self, grid):
-        calls.append(("whole_turns", id(self)))
-        return whole_turns(self, grid)
+    pairing = twists._commutator_pairing
 
     def counted_pairing(c, *args):
         calls.append(("pairing", id(c)))
         return pairing(c, *args)
 
-    monkeypatch.setattr(Cocycle, "whole_turns", counted_turns)
-    monkeypatch.setattr(algebra, "_commutator_pairing", counted_pairing)
+    monkeypatch.setattr(twists, "_commutator_pairing", counted_pairing)
     result = twists_isomorphic(COCYCLES[a], COCYCLES[b])
     assert result.status == ("not_isomorphic" if a == "V4" else "isomorphic")
     assert calls and all(calls.count(call) == 1 for call in calls)
@@ -331,24 +326,32 @@ def test_one_pairing_per_cocycle(a, b, monkeypatch):
 @pytest.mark.parametrize("a, b", [("V4", "V4_pauli"), ("Z4xZ4", "Z4sdZ4")],
                          ids=["V4-vs-V4_pauli", "Z4xZ4-vs-Z4sdZ4"])
 def test_one_budget_bounds_the_walk(a, b):
-    """The walk is conclusive exactly from a budget of its own node count; one
-    node less is inconclusive, never not_isomorphic with a guessed groupoid verdict."""
+    """Both pairs are refuted by their pairing profiles, so they are not_isomorphic
+    at any budget.  The walk settles the groupoid verdict exactly from a budget of
+    its own node count; one node less leaves it null, never guessed."""
     full = twists_isomorphic(COCYCLES[a], COCYCLES[b])
-    assert full.status == "not_isomorphic"
+    assert full.status == "not_isomorphic" and full.groupoids_isomorphic is not None
     short = twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited - 1)
-    assert short.status == "inconclusive" and short.mapping is None
+    assert (short.status, short.mapping, short.groupoids_isomorphic) == \
+        ("not_isomorphic", None, None)
     assert twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited) == full
 
 
 
-@pytest.mark.parametrize("a, b, budget, groupoids_iso", [
-    ("V4", "V4_cob", 10, True),  # the walk meets a groupoid isomorphism at node 4
-    ("V4", "V4_pauli", 3, None),  # refuted by the pairing, but the walk has not met one
-    ("Z4xZ4", "Z4sdZ4", 600, None),  # there is no groupoid isomorphism to meet
+@pytest.mark.parametrize("a, b, budget, status, code, groupoids_iso", [
+    # the walk meets a groupoid isomorphism at node 4
+    ("V4", "V4_cob", 10, "inconclusive", 3, True),
+    # refuted by the pairing, but the walk has not met a groupoid isomorphism
+    ("V4", "V4_pauli", 3, "not_isomorphic", 1, None),
+    # refuted by the pairing (Z4 x| Z4 has fewer commuting pairs), and there is no
+    # groupoid isomorphism to meet
+    ("Z4xZ4", "Z4sdZ4", 600, "not_isomorphic", 1, None),
 ], ids=["V4-vs-V4_cob-10", "V4-vs-V4_pauli-3", "Z4xZ4-vs-Z4sdZ4-600"])
-def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, groupoids_iso, tmp_path):
+def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, status, code,
+                                                           groupoids_iso, tmp_path):
     """compare writes the whole TwistIsoResult: out of budget, it still says whether
-    the walk met a groupoid isomorphism, and null only when it met none."""
+    the walk met a groupoid isomorphism, and null only when it met none.  A pair
+    the pairing profiles refute is not_isomorphic, and exits 1, at any budget."""
     reports = []
     for name in (a, b):
         reports.append(tmp_path / f"{name}.json")
@@ -356,9 +359,10 @@ def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, groupoi
             "rebuilt_groupoid": COCYCLES[name].groupoid.to_dict(),
             "recovered_cocycle": COCYCLES[name].to_dict()}}))
     out = tmp_path / "cmp.json"
-    assert main(["compare", *map(str, reports), "--iso-budget", str(budget), "--out", str(out)]) == 3
+    assert main(["compare", *map(str, reports), "--iso-budget", str(budget), "--out", str(out)]) \
+        == code
     assert json.loads(out.read_text())["result"] == {
-        "status": "inconclusive", "mapping": None, "nodes_visited": budget,
+        "status": status, "mapping": None, "nodes_visited": budget,
         "groupoids_isomorphic": groupoids_iso}
 
 
