@@ -19,7 +19,7 @@ from twistalg import (
     ultrafilter_at,
     ultrafilter_product,
 )
-from twistalg.groupoid import FiniteGroupoid
+from twistalg.fileio import groupoid_from_dict
 
 ctxs = standard_contexts()
 r2 = ctxs["R2"]
@@ -59,12 +59,6 @@ for name in ("R2", "Z4", "V4", "V4_pauli"):
           f" cocycle residual: {report.cocycle_residual:.1e}  passed: {report.passed}")
 
 
-def from_tables(doc):
-    compose = {tuple(k.split("|")): v for k, v in doc["compose"].items()}
-    return FiniteGroupoid("rebuilt", doc["elements"], doc["units"], doc["source"],
-                          doc["range"], doc["inverse"], compose)
-
-
-z4_rebuilt = from_tables(reconstruct(ctxs["Z4"]).rebuilt_groupoid)
-v4_rebuilt = from_tables(reconstruct(ctxs["V4"]).rebuilt_groupoid)
+z4_rebuilt = groupoid_from_dict(reconstruct(ctxs["Z4"]).rebuilt_groupoid, "rebuilt Z4")
+v4_rebuilt = groupoid_from_dict(reconstruct(ctxs["V4"]).rebuilt_groupoid, "rebuilt V4")
 print("rebuilt Z4 vs rebuilt V4:", groupoids_isomorphic(z4_rebuilt, v4_rebuilt).status)

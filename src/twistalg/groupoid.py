@@ -313,52 +313,46 @@ def full_relation(k: int, name: str | None = None) -> FiniteGroupoid:
     return FiniteGroupoid(name or f"R{k}", elems, units, source, range_, inverse, compose)
 
 
+def group(name: str, elements, mul) -> FiniteGroupoid:
+    """The one-unit groupoid of a finite group, from its element ids in order and its
+    product mul(a, b); the unit (its one idempotent) and the inverses are read off it."""
+    compose = {(a, b): mul(a, b) for a in elements for b in elements}
+    (unit,) = [e for e in elements if compose[(e, e)] == e]
+    inverse = {a: b for (a, b), p in compose.items() if p == unit}
+    source = dict.fromkeys(elements, unit)
+    return FiniteGroupoid(name, elements, [unit], source, source, inverse, compose)
+
+
+def transformation_groupoid(name: str, g: FiniteGroupoid, points, act) -> FiniteGroupoid:
+    """The groupoid of the one-unit groupoid g acting on points by act(k, x).
+
+    Elements (k,x), in the order of g's elements, with source (e,x), range (e,k.x)
+    and (k,l.x)(l,x) = (kl,x)."""
+    (e,) = g.units
+    pairs = [(k, x) for k in g.elements for x in points]
+    source = {f"({k},{x})": f"({e},{x})" for k, x in pairs}
+    range_ = {f"({k},{x})": f"({e},{act(k, x)})" for k, x in pairs}
+    inverse = {f"({k},{x})": f"({g.inverse[k]},{act(k, x)})" for k, x in pairs}
+    compose = {(f"({k},{act(l, x)})", f"({l},{x})"): f"({g.compose[(k, l)]},{x})"
+               for k in g.elements for l, x in pairs}
+    return FiniteGroupoid(name, list(source), [f"({e},{x})" for x in points], source, range_,
+                          inverse, compose)
+
+
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroupoid:
-    elems = [str(i) for i in range(n)]
-    source = {e: "0" for e in elems}
-    range_ = dict(source)
-    inverse = {str(i): str((-i) % n) for i in range(n)}
-    compose = {(str(i), str(j)): str((i + j) % n) for i in range(n) for j in range(n)}
-    return FiniteGroupoid(name or f"Z{n}", elems, ["0"], source, range_, inverse, compose)
+    return group(name or f"Z{n}", [str(i) for i in range(n)],
+                 lambda a, b: str((int(a) + int(b)) % n))
 
 
 def klein_four(name: str = "V4") -> FiniteGroupoid:
-    elems = ["00", "01", "10", "11"]
-    source = {e: "00" for e in elems}
-    range_ = dict(source)
-    inverse = {e: e for e in elems}
-
-    def add(a, b):
-        return f"{(int(a[0]) + int(b[0])) % 2}{(int(a[1]) + int(b[1])) % 2}"
-
-    compose = {(a, b): add(a, b) for a in elems for b in elems}
-    return FiniteGroupoid(name, elems, ["00"], source, range_, inverse, compose)
+    return group(name, ["00", "01", "10", "11"],
+                 lambda a, b: f"{(int(a[0]) + int(b[0])) % 2}{(int(a[1]) + int(b[1])) % 2}")
 
 
 def swap_transformation_groupoid() -> FiniteGroupoid:
-    """Transformation groupoid of the free Z2 swap action on two points.
-
-    Elements (k, x) with source x and range k.x; (k, l.x)(l, x) = (k+l, x).
-    """
-    points = ["p", "q"]
-    other = {"p": "q", "q": "p"}
-    elems = [f"(0,{x})" for x in points] + [f"(1,{x})" for x in points]
-    units = [f"(0,{x})" for x in points]
-    source, range_, inverse = {}, {}, {}
-    for k in (0, 1):
-        for x in points:
-            e = f"({k},{x})"
-            y = x if k == 0 else other[x]
-            source[e] = f"(0,{x})"
-            range_[e] = f"(0,{y})"
-            inverse[e] = f"({k},{y})" if k == 1 else e
-    compose = {}
-    for k in (0, 1):
-        for l in (0, 1):
-            for x in points:
-                lx = x if l == 0 else other[x]
-                compose[(f"({k},{lx})", f"({l},{x})")] = f"({(k + l) % 2},{x})"
-    return FiniteGroupoid("Swap2", elems, units, source, range_, inverse, compose)
+    """Transformation groupoid of the free Z2 swap action on two points."""
+    return transformation_groupoid("Swap2", cyclic_group(2), ["p", "q"],
+                                   lambda k, x: x if k == "0" else {"p": "q", "q": "p"}[x])
 
 
 def disjoint_union(a: FiniteGroupoid, b: FiniteGroupoid, name: str) -> FiniteGroupoid:

@@ -40,12 +40,11 @@ class BisectionBasis:
 
     def __init__(self, groupoid, members):
         self.groupoid = groupoid
-        fam = set()
-        for m in members:
-            fs = frozenset(groupoid.check_element(e) for e in m)
-            fam.add(fs)
-        fam.add(frozenset())
-        self.family = frozenset(fam)
+        # The members as given, each in element order: violations walks no set.
+        ordered = [tuple(sorted(set(map(groupoid.check_element, m)), key=groupoid.index))
+                   for m in [*members, []]]
+        self.members = tuple(dict.fromkeys(ordered))
+        self.family = frozenset(map(frozenset, self.members))
         self.covered = frozenset(itertools.chain.from_iterable(self.family))
         for bad in self.violations():
             raise InputError(f"invalid bisection basis: {bad}")
@@ -53,22 +52,22 @@ class BisectionBasis:
     def violations(self) -> list[str]:
         g = self.groupoid
         out = []
-        for m in self.family:
+        for m in self.members:
             if not is_bisection(g, m):
-                out.append(f"member {sorted(m)} is not a bisection")
+                out.append(f"member {list(m)} is not a bisection")
         if frozenset(g.units) not in self.family:
             out.append("unit space missing")
-        for m in self.family:
+        for m in self.members:
             for k in range(len(m)):
                 for sub in itertools.combinations(m, k):
                     if frozenset(sub) not in self.family:
-                        out.append(f"subset {sorted(sub)} of {sorted(m)} missing")
-        for a, b in itertools.product(self.family, repeat=2):
+                        out.append(f"subset {list(sub)} of {list(m)} missing")
+        for a, b in itertools.product(self.members, repeat=2):
             if subset_product(g, a, b) not in self.family:
-                out.append(f"product of {sorted(a)} and {sorted(b)} missing")
-        for a in self.family:
+                out.append(f"product of {list(a)} and {list(b)} missing")
+        for a in self.members:
             if subset_inverse(g, a) not in self.family:
-                out.append(f"inverse of {sorted(a)} missing")
+                out.append(f"inverse of {list(a)} missing")
         return out
 
     def __contains__(self, subset) -> bool:

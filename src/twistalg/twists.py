@@ -160,7 +160,9 @@ def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) 
 
     The verdict is settled in order by the element signatures, by the
     commutator pairing a(x, y) - a(y, x) on commuting pairs (Kleppner, 1965),
-    then by one walk under one budget.  A carrying map preserves the
+    then by one walk under one budget.  The multiset of (signature, number of
+    commuting elements) over the elements, read off the profiles, is a groupoid
+    invariant: if it differs, nothing is walked.  A carrying map preserves the
     signatures and the pairing, and a coboundary adds nothing to the pairing,
     so two cocycles whose multisets of per-element pairing profiles differ
     are not_isomorphic at any budget; the walk then runs unlabelled only to
@@ -171,7 +173,11 @@ def twists_isomorphic(a: Cocycle, b: Cocycle, budget: int = DEFAULT_ISO_BUDGET) 
     grid = math.lcm(a.grid, b.grid)
     ta, tb = ({pair: t * (grid // c.grid) for pair, t in c.turns.items()} for c in (a, b))
     pairing_a, pairing_b = _commutator_pairing(a, grid, ta), _commutator_pairing(b, grid, tb)
-    refuted = _pairing_profiles(a.groupoid, pairing_a) != _pairing_profiles(b.groupoid, pairing_b)
+    profiles = _pairing_profiles(a.groupoid, pairing_a), _pairing_profiles(b.groupoid, pairing_b)
+    centralisers = [sorted((sig, len(values)) for sig, values in p) for p in profiles]
+    if centralisers[0] != centralisers[1]:
+        return TwistIsoResult("not_isomorphic", None, 0, False)
+    refuted = profiles[0] != profiles[1]
     pairs = tuple(a.groupoid.compose)
 
     def carries(m: dict[str, str]) -> bool:

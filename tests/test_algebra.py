@@ -37,6 +37,7 @@ from twistalg.groupoid import (
     cyclic_group,
     disjoint_union,
     full_relation,
+    group,
     klein_four,
     standard_fixtures,
 )
@@ -530,13 +531,9 @@ def test_norm_of_the_empty_groupoid_is_zero():
 def _z3_squared_twist():
     """Z3 x Z3 twisted by sigma((a,b),(c,d)) = bc/3 turns, so C*(Z3^2, sigma) is M3;
     sigma takes the value 1/3 turn, so it differs from its conjugate."""
-    ids = [f"{a}{b}" for a in range(3) for b in range(3)]
-    compose = {(x, y): f"{(int(x[0]) + int(y[0])) % 3}{(int(x[1]) + int(y[1])) % 3}"
-               for x in ids for y in ids}
-    inverse = {x: y for (x, y), p in compose.items() if p == "00"}
-    source = dict.fromkeys(ids, "00")
-    gpd = FiniteGroupoid("Z3sq_tw", ids, ["00"], source, dict(source), inverse, compose)
-    sigma = {(x, y): Phase(Fraction(int(x[1]) * int(y[0]), 3)) for x, y in compose}
+    gpd = group("Z3sq_tw", [f"{a}{b}" for a in range(3) for b in range(3)],
+                lambda x, y: f"{(int(x[0]) + int(y[0])) % 3}{(int(x[1]) + int(y[1])) % 3}")
+    sigma = {(x, y): Phase(Fraction(int(x[1]) * int(y[0]), 3)) for x, y in gpd.compose}
     return TwistedAlgebra(gpd, Cocycle(gpd, sigma))
 
 

@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import json
 import os
 import pickle
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twistalg
-from twistalg import FiniteGroupoid, standard_contexts
+from twistalg import standard_contexts
 from twistalg import algebra, cli, reconstruction
 from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import ConsistencyError, InputError, NotCartanError
@@ -27,6 +28,7 @@ from twistalg.fileio import (
     load_groupoid_file,
     read_object,
 )
+from twistalg.groupoid import group
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -190,37 +192,48 @@ def _bare_report(path, groupoid):
 
 
 def test_compare_follow_up_out_of_budget_exits_1(tmp_path):
-    """Z4 x Z4 against the non-abelian Z4 x| Z4: the pairing profiles refute the
-    pair (Z4 x| Z4 has fewer commuting pairs), so compare exits 1 at any budget.
-    With no groupoid isomorphism to find, the walk that settles
-    groupoids_isomorphic takes 1,168 nodes; below that budget its verdict is
-    null rather than guessed."""
-    def group(name, mul):
-        ids = [f"{a}{b}" for a in range(4) for b in range(4)]
-        compose = {(x, y): "".join(map(str, mul(*map(int, x), *map(int, y))))
-                   for x in ids for y in ids}
-        inverse = {x: y for (x, y), p in compose.items() if p == "00"}
-        units = dict.fromkeys(ids, "00")
-        return FiniteGroupoid(name, ids, ["00"], units, dict(units), inverse, compose)
+    """Z4 x Z4 against the non-abelian Z4 x| Z4, in both orders: every element of
+    Z4 x Z4 commutes with all 16, and some of Z4 x| Z4 do not, so the groupoids are
+    not isomorphic.  compare exits 1 with that verdict at any budget, walking no
+    node (the walk that settled it took 1,168 nodes, 1,456 reversed)."""
+    ids = [f"{a}{b}" for a in range(4) for b in range(4)]
 
-    a = _bare_report(tmp_path / "ab.json",
-                     group("Z4xZ4", lambda a, b, c, d: ((a + c) % 4, (b + d) % 4)))
-    b = _bare_report(tmp_path / "sd.json",
-                     group("Z4sdZ4", lambda a, b, c, d: ((a + (-1) ** b * c) % 4, (b + d) % 4)))
+    def report(name, mul):
+        gpd = group(name, ids, lambda x, y: "".join(map(str, mul(*map(int, x), *map(int, y)))))
+        return _bare_report(tmp_path / f"{name}.json", gpd)
+
+    a = report("Z4xZ4", lambda a, b, c, d: ((a + c) % 4, (b + d) % 4))
+    b = report("Z4sdZ4", lambda a, b, c, d: ((a + (-1) ** b * c) % 4, (b + d) % 4))
     out = tmp_path / "cmp.json"
-    for budget in (0, 600, 1167):
-        assert run("compare", a, b, "--iso-budget", budget, "--out", out) == 1
-        assert json.loads(out.read_text())["result"] == {
-            "status": "not_isomorphic", "mapping": None, "nodes_visited": budget,
-            "groupoids_isomorphic": None}
-    assert run("compare", a, b, "--iso-budget", 1168, "--out", out) == 1
-    assert json.loads(out.read_text())["result"]["groupoids_isomorphic"] is False
+    for first, second in ((a, b), (b, a)):
+        for budget in (0, 600, 1167, 1168):
+            assert run("compare", first, second, "--iso-budget", budget, "--out", out) == 1
+            assert json.loads(out.read_text())["result"] == {
+                "status": "not_isomorphic", "mapping": None, "nodes_visited": 0,
+                "groupoids_isomorphic": False}
 
 
 def test_compare_malformed_report(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert run("compare", bad, bad) == 2
+
+
+def test_an_invalid_basis_gets_one_report_in_every_process(tmp_path):
+    """The basis checks walk the members in file order and each member in element
+    order, so the first violation does not depend on string hashing: R3's unit
+    subsets with {(1,2)}, {(2,1)}, {(2,3)} and {(3,2)} lack (1,2)(2,3) = (1,3)."""
+    units = ["(1,1)", "(2,2)", "(3,3)"]
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"bisections": [
+        *(list(c) for k in range(4) for c in itertools.combinations(units, k)),
+        ["(1,2)"], ["(2,1)"], ["(2,3)"], ["(3,2)"]]}))
+    runs = [_cli_process("reconstruct", FIXDIR / "r3.json", "--semigroup", f"basis:{basis}",
+                         PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    first, second = ((r.returncode, r.stdout, r.stderr) for r in runs)
+    assert first == second and first[0] == 2
+    assert json.loads(first[1])["error"]["message"] == \
+        "invalid bisection basis: product of ['(1,2)'] and ['(2,3)'] missing"
 
 
 def test_suite_all_on_r2(tmp_path):
@@ -541,6 +554,15 @@ def test_contract_escapes_are_input_errors(case, tmp_path, capsys):
         assert json.loads(out)["error"]["kind"] == kind
 
 
+def _cli_process(*argv, **env):
+    """The CLI run in a fresh interpreter on this source tree, with env added."""
+    src = str(Path(twistalg.__file__).resolve().parent.parent)
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "twistalg.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need POSIX")
 @pytest.mark.parametrize("where", ["input", "basis"])
 def test_a_named_pipe_is_refused_without_blocking(where, tmp_path):
@@ -550,10 +572,7 @@ def test_a_named_pipe_is_refused_without_blocking(where, tmp_path):
     os.mkfifo(fifo)
     argv = (["validate", fifo] if where == "input" else
             ["reconstruct", FIXDIR / "r2.json", "--semigroup", f"basis:{fifo}"])
-    src = str(Path(twistalg.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "twistalg.cli", *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _cli_process(*argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"{fifo}: not a regular file\n"
 

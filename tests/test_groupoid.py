@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,12 @@ from twistalg.groupoid import (
     cyclic_group,
     disjoint_union,
     full_relation,
+    group,
     iter_isomorphisms,
     subset_inverse,
     subset_product,
     table_violations,
+    transformation_groupoid,
 )
 from twistalg.seeds import substream
 
@@ -165,6 +168,39 @@ def test_disjoint_union_refuses_parts_of_one_name():
     union = disjoint_union(full_relation(2, "A"), full_relation(2, "B"), "AB")
     assert len(set(union.elements)) == len(union.elements) == 8
     assert groupoids_isomorphic(union, union).status == "isomorphic"
+
+
+def _x_y_group(name, y_squared):
+    """The group of x^a y^b (a mod 4, b mod 2) with y x y^-1 = x^-1 and y^2 = x^y_squared:
+    D4 for 0, Q8 for 2."""
+    return group(name, [f"{a}{b}" for a in range(4) for b in range(2)], lambda g, h: (
+        f"{(int(g[0]) + (-1) ** int(g[1]) * int(h[0]) + y_squared * int(g[1]) * int(h[1])) % 4}"
+        f"{(int(g[1]) + int(h[1])) % 2}"))
+
+
+@pytest.mark.parametrize("name, y_squared, orders", [("D4", 0, {1: 1, 2: 5, 4: 2}),
+                                                     ("Q8", 2, {1: 1, 2: 1, 4: 6})])
+def test_group_reads_the_unit_and_inverses_off_the_product(name, y_squared, orders):
+    g = _x_y_group(name, y_squared)
+    assert validate_groupoid(g).ok
+    assert g.units == ("00",)
+    assert Counter(map(g.isotropy_order, g.elements)) == orders
+
+
+def test_group_refuses_a_product_without_a_unit():
+    with pytest.raises(ValueError):
+        group("flip", ["0", "1"], lambda a, b: str(1 - int(a)))
+
+
+def test_transformation_groupoid_of_s3_on_three_points():
+    """S3 permuting 3 points: a transitive action with isotropy Z2 at each point."""
+    s3 = group("S3", ["".join(p) for p in itertools.permutations("012")],
+               lambda p, q: "".join(p[int(i)] for i in q))
+    g = transformation_groupoid("S3_on_3", s3, ["0", "1", "2"], lambda k, x: k[int(x)])
+    assert validate_groupoid(g).ok
+    assert (len(g.elements), g.units) == (18, ("(012,0)", "(012,1)", "(012,2)"))
+    assert [len(g.isotropy(u)) for u in g.units] == [2, 2, 2]
+    assert not is_effective(g)
 
 
 def test_bisection_examples():

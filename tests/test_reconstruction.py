@@ -34,8 +34,8 @@ from twistalg.algebra import (
     max_coeff_diff,
 )
 from twistalg.errors import InputError
-from twistalg.fileio import dumps
-from twistalg.groupoid import FiniteGroupoid, cyclic_group, full_relation
+from twistalg.fileio import dumps, groupoid_from_dict
+from twistalg.groupoid import cyclic_group, full_relation
 from twistalg.reconstruction import (
     basic_set,
     equivalent_in,
@@ -675,15 +675,9 @@ def test_no_cartan_witness_is_a_non_member(contexts):
 def test_cross_reconstruction_distinguishes_z4_v4(contexts):
     rep_z4 = reconstruct(contexts["Z4"])
     rep_v4 = reconstruct(contexts["V4"])
-    a = _from_tables(rep_z4.rebuilt_groupoid)
-    b = _from_tables(rep_v4.rebuilt_groupoid)
+    a = groupoid_from_dict(rep_z4.rebuilt_groupoid, "rebuilt Z4")
+    b = groupoid_from_dict(rep_v4.rebuilt_groupoid, "rebuilt V4")
     assert groupoids_isomorphic(a, b).status == "not_isomorphic"
-
-
-def _from_tables(doc):
-    compose = {tuple(k.split("|")): v for k, v in doc["compose"].items()}
-    return FiniteGroupoid("x", doc["elements"], doc["units"], doc["source"],
-                          doc["range"], doc["inverse"], compose)
 
 
 def test_domination_matches_basic_set_containment(r3, rng):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,8 @@ def test_basis_closure_validated(r2):
     with pytest.raises(InputError):  # not closed under inverses
         units = list(r2.groupoid.units)
         BisectionBasis(r2.groupoid, [[], units, [units[0]], [units[1]], ["(1,2)"]])
+    with pytest.raises(InputError, match=re.escape("member ['(1,1)', '(1,2)'] is not a bisection")):
+        BisectionBasis(r2.groupoid, [["(1,2)", "(1,1)"], *([u] for u in units), units])
 
 
 def test_monomial_cartan_on_all_fixtures(contexts):

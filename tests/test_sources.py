@@ -7,7 +7,9 @@ from the seed through named substreams.  The default seed, isomorphism budget
 and zero tolerance are each defined once, as a named constant, and reports
 hold only JSON types, so the writer needs no fallback encoder.  Exact rational
 turns are Fractions only in `twists`, where cocycles are given and shown, and
-README's library map names every module."""
+README's library map names every module.  Groupoid tables are written out only
+by the few builders that need their own: groups and group actions go through
+`groupoid.group` and `groupoid.transformation_groupoid`."""
 
 import ast
 import re
@@ -144,6 +146,40 @@ def test_only_twists_imports_fraction():
 def test_the_fraction_rule_sees_each_form():
     forms = ["from fractions import Fraction", "import fractions", "from fractions import *"]
     assert [_fraction_imports(ast.parse(text)) for text in forms] == [[1]] * len(forms)
+
+
+def _groupoid_builders(tree: ast.AST) -> set:
+    """The names of the functions that call FiniteGroupoid(...), None for a call
+    outside any function; a nested function is named for itself."""
+    out = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "FiniteGroupoid"
+                    or getattr(child.func, "attr", None) == "FiniteGroupoid"):
+                out.add(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_the_builders_write_groupoid_tables():
+    builders = {(module, name) for module, tree in _trees().items()
+                for name in _groupoid_builders(tree)}
+    assert builders == {("groupoid", "group"), ("groupoid", "transformation_groupoid"),
+                        ("groupoid", "full_relation"), ("groupoid", "disjoint_union"),
+                        ("fileio", "groupoid_from_dict"), ("reconstruction", "rebuild_groupoid")}
+
+
+def test_the_builder_rule_sees_each_form():
+    forms = {"def f():\n    return FiniteGroupoid(n, e, u, s, r, i, c)": {"f"},
+             "g = groupoid.FiniteGroupoid(n, e, u, s, r, i, c)": {None},
+             "def f():\n    def h():\n        FiniteGroupoid()\n    return h": {"h"},
+             "def f(g: FiniteGroupoid) -> FiniteGroupoid:\n    return group(n, e, m)": set()}
+    assert {text: _groupoid_builders(ast.parse(text)) for text in forms} == forms
 
 
 def test_the_library_map_names_every_module():

@@ -20,10 +20,10 @@ from twistalg import twists
 from twistalg.cli import main
 from twistalg.groupoid import (
     BudgetExhausted,
-    FiniteGroupoid,
     _Budget,
     disjoint_union,
     full_relation,
+    group,
     groupoids_isomorphic,
     iter_isomorphisms,
     klein_four,
@@ -77,15 +77,10 @@ def _group(name, orders, mul, order=None):
     """A one-unit groupoid on the tuples of range(orders), with product mul;
     `order` permutes the element list, which sets the search order."""
     tuples = list(itertools.product(*map(range, orders)))
-    label = "".join
-    ids = [label(map(str, t)) for t in tuples]
+    ids = ["".join(map(str, t)) for t in tuples]
     by_id = dict(zip(ids, tuples))
-    compose = {(x, y): label(map(str, mul(by_id[x], by_id[y]))) for x in ids for y in ids}
-    unit = ids[0]
-    inverse = {x: y for (x, y), p in compose.items() if p == unit}
-    source = dict.fromkeys(ids, unit)
     elements = ids if order is None else [ids[i] for i in order]
-    return FiniteGroupoid(name, elements, [unit], source, dict(source), inverse, compose), by_id
+    return group(name, elements, lambda x, y: "".join(map(str, mul(by_id[x], by_id[y])))), by_id
 
 
 def _abelian(orders, order=None):
@@ -220,28 +215,45 @@ def test_labelled_walk_yields_the_first_map_then_pairing_preserving_maps(a, b):
 
 
 def test_non_isomorphic_groupoids_with_equal_signatures():
-    """Z4 x Z4 and Z4 x| Z4 pass the signature test, and no groupoid
-    isomorphism is ever found to start the pruning, so the one walk is the
-    plain walk: the same verdict and exactly its nodes (the two walks it
-    replaced visited 1,760 and 2,912)."""
+    """Z4 x Z4 and Z4 x| Z4 pass the signature test, but every element of Z4 x Z4
+    commutes with all 16 and some of Z4 x| Z4 do not, so the numbers of commuting
+    elements settle both verdicts without a walk.  The plain walk needs 1,168
+    nodes (1,456 reversed) to reach the same groupoid verdict."""
     for a, b, nodes in (("Z4xZ4", "Z4sdZ4", 1168), ("Z4sdZ4", "Z4xZ4", 1456)):
         new = twists_isomorphic(COCYCLES[a], COCYCLES[b])
         old = _unpruned_twists_isomorphic(COCYCLES[a], COCYCLES[b])
         plain = groupoids_isomorphic(COCYCLES[a].groupoid, COCYCLES[b].groupoid)
         assert (new.status, new.groupoids_isomorphic) == (old.status, old.groupoids_isomorphic) \
             == ("not_isomorphic", False)
-        assert new.nodes_visited == plain.nodes_visited == nodes
+        assert (new.nodes_visited, plain.nodes_visited) == (0, nodes)
+
+
+def _q8_times_z2():
+    """Q8 x Z2 on (a, b, c) for x^a y^b z^c, where y x y^-1 = x^-1 and y^2 = x^2."""
+    def mul(x, y):
+        return ((x[0] + (-1) ** x[1] * y[0] + 2 * x[1] * y[1]) % 4, (x[1] + y[1]) % 2,
+                (x[2] + y[2]) % 2)
+    return _group("Q8xZ2", (4, 2, 2), mul)
 
 
 def test_refuted_pair_of_non_isomorphic_groupoids_walks_the_plain_walk():
-    """Z4 x Z4 twisted by 1/4 x0 y1 against the untwisted Z4 x| Z4: the profiles
-    differ, and the walk that settles groupoids_isomorphic is the plain walk."""
+    """Q8 x Z2 twisted by 1/2 x0 y2 against the untwisted Z4 x| Z4: the element
+    orders and the numbers of commuting elements agree, the profiles differ, and
+    the walk that settles groupoids_isomorphic is the plain walk.  Z4 x Z4 twisted
+    by 1/4 x0 y1 against Z4 x| Z4 differs in the numbers of commuting elements,
+    so it is settled without a walk."""
+    gpd, by_id = _q8_times_z2()
+    twisted, semidirect = _cocycle(gpd, by_id, (4, 2, 2), {(0, 2): 1}, {}), COCYCLES["Z4sdZ4"]
+    assert _profiles(twisted, 2) != _profiles(semidirect, 2)
+    for a, b, nodes in ((twisted, semidirect, 2496), (semidirect, twisted, 592)):
+        result = _assert_matches_oracle(a, b)
+        assert (result.status, result.groupoids_isomorphic) == ("not_isomorphic", False)
+        assert result.nodes_visited == groupoids_isomorphic(a.groupoid, b.groupoid).nodes_visited \
+            == nodes
     gpd, by_id = _abelian((4, 4))
-    twisted, semidirect = _cocycle(gpd, by_id, (4, 4), {(0, 1): 1}, {}), COCYCLES["Z4sdZ4"]
-    result = _assert_matches_oracle(twisted, semidirect)
-    assert (result.status, result.groupoids_isomorphic) == ("not_isomorphic", False)
-    plain = groupoids_isomorphic(gpd, semidirect.groupoid)
-    assert result.nodes_visited == plain.nodes_visited == 1168
+    result = _assert_matches_oracle(_cocycle(gpd, by_id, (4, 4), {(0, 1): 1}, {}), semidirect)
+    assert (result.status, result.groupoids_isomorphic, result.nodes_visited) == \
+        ("not_isomorphic", False, 0)
 
 
 def _d4_times_z2(mul, orders, a, e):
@@ -328,26 +340,30 @@ def test_one_pairing_per_cocycle(a, b, monkeypatch):
 def test_one_budget_bounds_the_walk(a, b):
     """Both pairs are refuted by their pairing profiles, so they are not_isomorphic
     at any budget.  The walk settles the groupoid verdict exactly from a budget of
-    its own node count; one node less leaves it null, never guessed."""
+    its own node count; one node less leaves it null, never guessed.  Z4 x Z4
+    against Z4 x| Z4 walks no node: the numbers of commuting elements differ, so
+    every budget, 0 too, gives the full verdict."""
     full = twists_isomorphic(COCYCLES[a], COCYCLES[b])
     assert full.status == "not_isomorphic" and full.groupoids_isomorphic is not None
+    if full.nodes_visited == 0:
+        assert full.groupoids_isomorphic is False
+        assert twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=0) == full
+        return
     short = twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited - 1)
     assert (short.status, short.mapping, short.groupoids_isomorphic) == \
         ("not_isomorphic", None, None)
     assert twists_isomorphic(COCYCLES[a], COCYCLES[b], budget=full.nodes_visited) == full
 
 
-
-@pytest.mark.parametrize("a, b, budget, status, code, groupoids_iso", [
+@pytest.mark.parametrize("a, b, budget, status, code, nodes, groupoids_iso", [
     # the walk meets a groupoid isomorphism at node 4
-    ("V4", "V4_cob", 10, "inconclusive", 3, True),
+    ("V4", "V4_cob", 10, "inconclusive", 3, 10, True),
     # refuted by the pairing, but the walk has not met a groupoid isomorphism
-    ("V4", "V4_pauli", 3, "not_isomorphic", 1, None),
-    # refuted by the pairing (Z4 x| Z4 has fewer commuting pairs), and there is no
-    # groupoid isomorphism to meet
-    ("Z4xZ4", "Z4sdZ4", 600, "not_isomorphic", 1, None),
+    ("V4", "V4_pauli", 3, "not_isomorphic", 1, 3, None),
+    # Z4 x| Z4 has elements that commute with fewer elements: settled without a walk
+    ("Z4xZ4", "Z4sdZ4", 600, "not_isomorphic", 1, 0, False),
 ], ids=["V4-vs-V4_cob-10", "V4-vs-V4_pauli-3", "Z4xZ4-vs-Z4sdZ4-600"])
-def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, status, code,
+def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, status, code, nodes,
                                                            groupoids_iso, tmp_path):
     """compare writes the whole TwistIsoResult: out of budget, it still says whether
     the walk met a groupoid isomorphism, and null only when it met none.  A pair
@@ -362,7 +378,7 @@ def test_inconclusive_compare_reports_the_groupoid_verdict(a, b, budget, status,
     assert main(["compare", *map(str, reports), "--iso-budget", str(budget), "--out", str(out)]) \
         == code
     assert json.loads(out.read_text())["result"] == {
-        "status": status, "mapping": None, "nodes_visited": budget,
+        "status": status, "mapping": None, "nodes_visited": nodes,
         "groupoids_isomorphic": groupoids_iso}
 
 
