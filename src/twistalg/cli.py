@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -23,19 +24,12 @@ from pathlib import Path
 from . import __version__
 from .algebra import DEFAULT_ZERO_TOL, TwistedAlgebra
 from .errors import ConsistencyError, InputError, NotCartanError
-from .fileio import _load_report, content_hash, dumps, load_basis, load_groupoid_file
+from .fileio import _load_report, dumps, load_basis, load_groupoid_file, read_input
 from .groupoid import DEFAULT_ISO_BUDGET, validate_groupoid
 from .reconstruction import reconstruct
 from .seeds import DEFAULT_SEED
 from .semigroups import SemigroupSpec
-from .suites import (
-    cartan_suite,
-    expectation_suite,
-    masa_suite,
-    norms_suite,
-    relations_suite,
-    states_suite,
-)
+from .suites import SUITES
 from .twists import twists_isomorphic
 
 EXIT_PASS = 0
@@ -58,15 +52,16 @@ def _basis_path(config: RunConfig) -> str | None:
     return config.semigroup[6:] if config.semigroup.startswith("basis:") else None
 
 
-def _envelope(paths: list[str], config: RunConfig) -> dict:
+def _envelope(paths: list[str], data: list[bytes], config: RunConfig) -> dict:
     doc = {"tool": {"name": "twistalg", "version": __version__}, "config": asdict(config)}
-    inputs = [{"name": Path(p).name, "sha256": content_hash(p)} for p in paths]
+    inputs = [{"name": Path(p).name, "sha256": hashlib.sha256(d).hexdigest()}
+              for p, d in zip(paths, data)]
     doc.update({"input": inputs[0]} if len(inputs) == 1 else {"inputs": inputs})
     return doc
 
 
-def _load_context(path: str, config: RunConfig):
-    gpd, cocycle = load_groupoid_file(path)
+def _load_context(data: bytes, config: RunConfig):
+    gpd, cocycle = load_groupoid_file(data)
     report = validate_groupoid(gpd)
     if not report.ok:
         raise InputError("invalid groupoid: " + report.violations[0].message)
@@ -75,19 +70,19 @@ def _load_context(path: str, config: RunConfig):
     return TwistedAlgebra(gpd, cocycle, zero_tol=config.tolerance)
 
 
-def _resolve_spec(ctx, config: RunConfig) -> SemigroupSpec:
+def _resolve_spec(ctx, config: RunConfig, basis: bytes | None) -> SemigroupSpec:
     if config.semigroup == "monomial":
         return SemigroupSpec.monomial(ctx)
-    if _basis_path(config) is not None:
-        return SemigroupSpec.basis_restricted(ctx, load_basis(_basis_path(config), ctx))
+    if basis is not None:
+        return SemigroupSpec.basis_restricted(ctx, load_basis(basis, ctx))
     raise InputError(f"unknown --semigroup value {config.semigroup!r}")
 
 
 # -- commands: each returns (report body, exit code) and leaves errors to main -------
 
 
-def cmd_validate(path: str, config: RunConfig) -> tuple[dict, int]:
-    gpd, cocycle = load_groupoid_file(path)
+def cmd_validate(data: bytes, config: RunConfig) -> tuple[dict, int]:
+    gpd, cocycle = load_groupoid_file(data)
     report = validate_groupoid(gpd)
     cocycle_violations = cocycle.violations() if report.ok else []
     ok = report.ok and not cocycle_violations
@@ -99,9 +94,9 @@ def cmd_validate(path: str, config: RunConfig) -> tuple[dict, int]:
     return body, EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
-    ctx = _load_context(path, config)
-    report = reconstruct(ctx, _resolve_spec(ctx, config), seed=config.seed,
+def cmd_reconstruct(data: bytes, config: RunConfig, basis: bytes | None) -> tuple[dict, int]:
+    ctx = _load_context(data, config)
+    report = reconstruct(ctx, _resolve_spec(ctx, config, basis), seed=config.seed,
                          iso_budget=config.iso_budget, run=_fan_out)
     if report.isomorphism["status"] == "inconclusive":
         code = EXIT_INCONCLUSIVE
@@ -110,22 +105,15 @@ def cmd_reconstruct(path: str, config: RunConfig) -> tuple[dict, int]:
     return {"reconstruction": report.to_dict()}, code
 
 
-def cmd_compare(path_a: str, path_b: str, config: RunConfig) -> tuple[dict, int]:
-    iso = twists_isomorphic(_load_report(path_a), _load_report(path_b), config.iso_budget)
+def cmd_compare(reports, config: RunConfig) -> tuple[dict, int]:
+    """reports: the (bytes, path) of each of the two reports, in order."""
+    twist_a, twist_b = (_load_report(data, path) for data, path in reports)
+    iso = twists_isomorphic(twist_a, twist_b, config.iso_budget)
     code = {"isomorphic": EXIT_PASS, "not_isomorphic": EXIT_FAIL,
             "inconclusive": EXIT_INCONCLUSIVE}[iso.status]
     return {"result": iso.to_dict()}, code
 
 
-# Runners in `--suite all` order; each looks its suite function up by name when called.
-SUITES = {
-    "cartan": lambda ctx, seed, spec: cartan_suite(ctx, seed, spec),
-    "relations": lambda ctx, seed, spec: relations_suite(ctx, seed),
-    "states": lambda ctx, seed, spec: states_suite(ctx, seed),
-    "masa": lambda ctx, seed, spec: masa_suite(ctx, seed),
-    "expectation": lambda ctx, seed, spec: expectation_suite(ctx, seed),
-    "norms": lambda ctx, seed, spec: norms_suite(ctx, seed),
-}
 SUITE_NAMES = (*SUITES, "all")
 
 
@@ -191,9 +179,10 @@ def _fan_out(names: list[str], call) -> dict:
     return {name: outcomes[i] for i, name in enumerate(names)}
 
 
-def cmd_suite(path: str, config: RunConfig, suite: str) -> tuple[dict, int]:
-    ctx = _load_context(path, config)
-    spec = _resolve_spec(ctx, config)
+def cmd_suite(data: bytes, config: RunConfig, suite: str,
+              basis: bytes | None) -> tuple[dict, int]:
+    ctx = _load_context(data, config)
+    spec = _resolve_spec(ctx, config, basis)
     selected = list(SUITES) if suite == "all" else [suite]
     results = _fan_out(selected, lambda name: SUITES[name](ctx, config.seed, spec))
     passed = all(r["passed"] for r in results.values())
@@ -261,16 +250,18 @@ def main(argv=None) -> int:
     paths = [args.report_a, args.report_b] if args.command == "compare" else [args.path]
     if _basis_path(config) is not None:
         paths.append(_basis_path(config))
+    # Each command takes the inputs' bytes in the order of `paths`.
     run = {
-        "validate": lambda: cmd_validate(args.path, config),
-        "reconstruct": lambda: cmd_reconstruct(args.path, config),
-        "compare": lambda: cmd_compare(args.report_a, args.report_b, config),
-        "suite": lambda: cmd_suite(args.path, config, args.suite),
+        "validate": lambda data: cmd_validate(data, config),
+        "reconstruct": lambda data, basis=None: cmd_reconstruct(data, config, basis),
+        "compare": lambda *reports: cmd_compare(zip(reports, paths), config),
+        "suite": lambda data, basis=None: cmd_suite(data, config, args.suite, basis),
     }[args.command]
     try:
-        doc = _envelope(paths, config)
+        inputs = [read_input(p) for p in paths]  # the one read of each, hashed and parsed
+        doc = _envelope(paths, inputs, config)
         try:
-            body, code = run()
+            body, code = run(*inputs)
         except json.JSONDecodeError as exc:
             body = {"error": {"kind": "parse", "message": str(exc),
                               "line": exc.lineno, "column": exc.colno}}

@@ -1,4 +1,5 @@
-"""JSON file formats, all read through `read_object`.
+"""JSON file formats: each input file is read once, by `read_input`, and its bytes
+are parsed by `read_object`.
 
 Groupoid file: {"name": str?, "elements": [...], "units": [...],
 "source"/"range"/"inverse": {element: element},
@@ -16,7 +17,6 @@ A field of another JSON type than these is refused by name, not coerced.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import stat
@@ -33,25 +33,22 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a bo
                int: "a number", float: "a number", type(None): "null or missing"}
 
 
-def _regular_file(path: str | Path) -> Path:
-    """path, unless it is not a regular file: a device or a pipe is read without end."""
+def read_input(path: str | Path) -> bytes:
+    """The bytes of the input file at path.  Raises OSError on a path that is not a
+    regular file: a device or a pipe is read without end."""
     path = Path(path)
     if not stat.S_ISREG(path.stat().st_mode):
         raise OSError(f"{path}: not a regular file")
-    return path
+    return path.read_bytes()
 
 
-def content_hash(path: str | Path) -> str:
-    return hashlib.sha256(_regular_file(path).read_bytes()).hexdigest()
-
-
-def read_object(path: str | Path, what: str) -> dict:
-    """The top-level object of the JSON file at path, which `what` names in errors.
-    Raises json.JSONDecodeError on a syntax error, OSError on a path that is not a
-    regular file, and InputError on text that is not UTF-8, nesting too deep to
+def read_object(data: bytes, what: str) -> dict:
+    """The top-level object of the JSON text in data, which `what` names in errors.
+    CRLF and CR end lines as LF, as in a text-mode read.  Raises json.JSONDecodeError
+    on a syntax error, and InputError on text that is not UTF-8, nesting too deep to
     parse or a top level that is not an object."""
     try:
-        doc = json.loads(_regular_file(path).read_text(encoding="utf-8"))
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} is not UTF-8 text: {exc}") from exc
     except RecursionError:
@@ -110,20 +107,20 @@ def cocycle_from_dict(groupoid: FiniteGroupoid, doc: dict) -> Cocycle:
                                                for pair, (p, q) in ratios.items()})
 
 
-def load_groupoid_file(path: str | Path):
+def load_groupoid_file(data: bytes):
     """Parse a groupoid file into (groupoid, cocycle); no axiom checking here.
     An absent or null cocycle is the trivial one."""
-    doc = read_object(path, "groupoid file")
+    doc = read_object(data, "groupoid file")
     gpd = groupoid_from_dict(doc, "groupoid file")
     cocycle = doc.get("cocycle")
     return gpd, cocycle_from_dict(
         gpd, {} if cocycle is None else _typed(cocycle, dict, "groupoid file's 'cocycle'"))
 
 
-def _load_report(path: str | Path) -> Cocycle:
+def _load_report(data: bytes, path: str | Path) -> Cocycle:
     """The recovered cocycle of a report, on its rebuilt groupoid with checked tables."""
     what = f"report {path}"
-    rec = _typed(read_object(path, what).get("reconstruction"), dict, f"{what}'s 'reconstruction'")
+    rec = _typed(read_object(data, what).get("reconstruction"), dict, f"{what}'s 'reconstruction'")
     tables, cocycle = (_typed(rec.get(k), dict, f"{what}'s {k!r}")
                        for k in ("rebuilt_groupoid", "recovered_cocycle"))
     gpd = groupoid_from_dict(tables, f"{what}'s rebuilt groupoid")
@@ -138,8 +135,8 @@ def context_to_dict(ctx: TwistedAlgebra) -> dict:
     return {**doc, "cocycle": cocycle} if cocycle else doc
 
 
-def load_element(path: str | Path, ctx: TwistedAlgebra) -> AlgebraElement:
-    raw = _typed(read_object(path, "element file").get("coeffs"), dict, "element file's 'coeffs'")
+def load_element(data: bytes, ctx: TwistedAlgebra) -> AlgebraElement:
+    raw = _typed(read_object(data, "element file").get("coeffs"), dict, "element file's 'coeffs'")
     coeffs = {}
     for g, pair in raw.items():
         ctx.groupoid.check_element(g)
@@ -151,8 +148,8 @@ def load_element(path: str | Path, ctx: TwistedAlgebra) -> AlgebraElement:
     return AlgebraElement(ctx, coeffs)
 
 
-def load_basis(path: str | Path, ctx: TwistedAlgebra) -> BisectionBasis:
-    doc = read_object(path, "basis file")
+def load_basis(data: bytes, ctx: TwistedAlgebra) -> BisectionBasis:
+    doc = read_object(data, "basis file")
     members = _typed(doc.get("bisections"), list, "basis file's 'bisections'")
     return BisectionBasis(ctx.groupoid, [_typed(m, list, "each basis member") for m in members])
 

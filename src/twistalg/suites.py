@@ -386,3 +386,14 @@ def masa_suite(ctx: TwistedAlgebra, seed: int = DEFAULT_SEED) -> dict:
         "summable_normalizers": summable,
         "passed": passed,
     }
+
+
+# Runners in `--suite all` order; each looks its suite function up by name when called.
+SUITES = {
+    "cartan": lambda ctx, seed, spec: cartan_suite(ctx, seed, spec),
+    "relations": lambda ctx, seed, spec: relations_suite(ctx, seed),
+    "states": lambda ctx, seed, spec: states_suite(ctx, seed),
+    "masa": lambda ctx, seed, spec: masa_suite(ctx, seed),
+    "expectation": lambda ctx, seed, spec: expectation_suite(ctx, seed),
+    "norms": lambda ctx, seed, spec: norms_suite(ctx, seed),
+}

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -16,17 +17,16 @@ from hypothesis import strategies as st
 
 import twistalg
 from twistalg import standard_contexts
-from twistalg import algebra, cli, reconstruction
+from twistalg import algebra, cli, reconstruction, suites
 from twistalg.cli import SUITE_NAMES, main
 from twistalg.errors import ConsistencyError, InputError, NotCartanError
 from twistalg.fileio import (
-    content_hash,
     context_to_dict,
     dumps,
     load_basis,
     load_element,
     load_groupoid_file,
-    read_object,
+    read_input,
 )
 from twistalg.groupoid import group
 
@@ -107,6 +107,16 @@ def test_validate_truncated_file(tmp_path, capsys):
     assert out["error"]["kind"] == "parse" and out["error"]["line"] >= 1
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=repr)
+def test_a_parse_error_is_placed_as_in_a_text_mode_read(newline, tmp_path, capsys):
+    """CRLF and a bare CR each end one line, as universal newlines read them."""
+    bad = tmp_path / "lines.json"
+    bad.write_bytes(newline.join(["{", '"elements": ["a"],', '"units": ["a"]', '"x": 1}']).encode())
+    assert run("validate", bad) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["kind"], error["line"], error["column"]) == ("parse", 4, 1)
+
+
 def test_missing_file_is_input_error(capsys):
     assert run("validate", "/nonexistent/g.json") == 2
 
@@ -131,6 +141,10 @@ def test_reconstruct_with_basis_spec(tmp_path):
     assert doc["reconstruction"]["summable_image"]["passed"]
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_the_basis_file_is_an_input_of_the_report(tmp_path):
     basis = tmp_path / "basis.json"
     basis.write_bytes((FIXDIR / "basis_r2_offdiag.json").read_bytes())
@@ -142,11 +156,11 @@ def test_the_basis_file_is_an_input_of_the_report(tmp_path):
         return json.loads(out.read_text())["inputs"]
 
     before = inputs()
-    assert before == [{"name": "r2.json", "sha256": content_hash(FIXDIR / "r2.json")},
-                      {"name": "basis.json", "sha256": content_hash(basis)}]
+    assert before == [{"name": "r2.json", "sha256": _sha256(FIXDIR / "r2.json")},
+                      {"name": "basis.json", "sha256": _sha256(basis)}]
     basis.write_text(basis.read_text() + "\n")
     after = inputs()
-    assert after[0] == before[0] and after[1]["sha256"] == content_hash(basis)
+    assert after[0] == before[0] and after[1]["sha256"] == _sha256(basis)
     assert after[1]["sha256"] != before[1]["sha256"]
 
 
@@ -296,21 +310,21 @@ def test_element_file_roundtrip(tmp_path):
     ctx = standard_contexts()["R2"]
     path = tmp_path / "elem.json"
     path.write_text(json.dumps({"coeffs": {"(1,2)": [1.5, -2.0], "(1,1)": [0.25, 0]}}))
-    a = load_element(path, ctx)
+    a = load_element(read_input(path), ctx)
     assert a.coeff("(1,2)") == 1.5 - 2j and a.coeff("(1,1)") == 0.25
     path.write_text(json.dumps({"coeffs": {"nope": [1, 0]}}))
     with pytest.raises(InputError):
-        load_element(path, ctx)
+        load_element(read_input(path), ctx)
 
 
 def test_basis_file_validation(tmp_path):
     ctx = standard_contexts()["R2"]
-    good = load_basis(FIXDIR / "basis_r2_offdiag.json", ctx)
+    good = load_basis(read_input(FIXDIR / "basis_r2_offdiag.json"), ctx)
     assert frozenset(["(1,2)"]) in good.family
     bad = tmp_path / "basis.json"
     bad.write_text(json.dumps({"bisections": [["(1,2)"]]}))
     with pytest.raises(InputError):
-        load_basis(bad, ctx)
+        load_basis(read_input(bad), ctx)
 
 
 def test_fixture_files_match_constructors():
@@ -325,7 +339,7 @@ def test_groupoid_file_roundtrip(tmp_path):
     ctx = standard_contexts()["V4_pauli"]
     path = tmp_path / "ctx.json"
     path.write_text(dumps(context_to_dict(ctx)), encoding="utf-8")
-    gpd, cocycle = load_groupoid_file(path)
+    gpd, cocycle = load_groupoid_file(read_input(path))
     assert set(gpd.elements) == set(ctx.groupoid.elements)
     assert cocycle.values == ctx.cocycle.values
 
@@ -583,9 +597,9 @@ def test_a_null_cocycle_is_untwisted(tmp_path):
 
 def test_the_reader_refuses_what_is_not_a_regular_file(tmp_path):
     with pytest.raises(OSError, match="not a regular file"):
-        content_hash(os.devnull)
+        read_input(os.devnull)
     with pytest.raises(OSError, match="not a regular file"):
-        read_object(tmp_path, "report")
+        read_input(tmp_path)
 
 
 @pytest.mark.parametrize("pair", [["nan", 0], [True, 0], ["abc", 0], [0, None], [1], [1, 2, 3],
@@ -595,7 +609,7 @@ def test_element_coefficients_are_two_finite_numbers(pair, tmp_path):
     path = tmp_path / "elem.json"
     path.write_text(json.dumps({"coeffs": {"(1,2)": pair}}))
     with pytest.raises(InputError, match="must be \\[re, im\\], two finite numbers"):
-        load_element(path, standard_contexts()["R2"])
+        load_element(read_input(path), standard_contexts()["R2"])
 
 
 @pytest.mark.parametrize("field, value, kind", [
@@ -607,7 +621,7 @@ def test_element_coefficients_are_two_finite_numbers(pair, tmp_path):
 def test_every_id_must_be_a_string(field, value, kind, tmp_path):
     message = f"each id in groupoid file's '{field}' must be a string, not {kind}"
     with pytest.raises(InputError, match=message):
-        load_groupoid_file(_with_table(tmp_path, field, value))
+        load_groupoid_file(read_input(_with_table(tmp_path, field, value)))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -617,13 +631,13 @@ def test_every_id_must_be_a_string(field, value, kind, tmp_path):
 ])
 def test_the_reader_names_the_first_bad_id_or_key(field, value, message, tmp_path):
     with pytest.raises(InputError, match=re.escape(message)):
-        load_groupoid_file(_with_table(tmp_path, field, value))
+        load_groupoid_file(read_input(_with_table(tmp_path, field, value)))
 
 
 @pytest.mark.parametrize("name, kind", [({"a": [1]}, "an object"), (7, "a number"), (None, "null")])
 def test_a_name_must_be_a_string(name, kind, tmp_path):
     with pytest.raises(InputError, match=f"groupoid file's 'name' must be a string, not {kind}"):
-        load_groupoid_file(_with_table(tmp_path, "name", name))
+        load_groupoid_file(read_input(_with_table(tmp_path, "name", name)))
 
 
 def _nested(draw, text):
@@ -733,6 +747,49 @@ def test_compare_contract_under_mutation(text):
         assert run("compare", good, bad, "--out", Path(tmp) / "cmp.json") in (0, 1, 2, 3)
 
 
+@st.composite
+def mutated_basis_files(draw):
+    """The r2 basis file's text after dropped or duplicated members, members or ids
+    replaced by another value or id, ids nested in an array, truncation, or deep nesting."""
+    members = json.loads((FIXDIR / "basis_r2_offdiag.json").read_text())["bisections"]
+    ids = sorted({e for member in members for e in member})
+    for _ in range(draw(st.integers(0, 3))):
+        if not members:
+            break
+        i = draw(st.integers(0, len(members) - 1))
+        member = members[i]
+        mutation = draw(st.sampled_from(["drop", "duplicate", "replace", "swap", "nest"]))
+        if mutation == "drop":
+            del members[i]
+        elif mutation == "duplicate":
+            members.insert(i, copy.deepcopy(member))
+        elif mutation == "replace" or not (isinstance(member, list) and member):
+            members[i] = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+        else:
+            j = draw(st.integers(0, len(member) - 1))
+            member[j] = [member[j]] if mutation == "nest" else draw(
+                st.sampled_from(ids) | st.sampled_from(_REPLACEMENTS))
+    text = json.dumps({"bisections": members})
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return _nested(draw, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_basis_files(), command=st.sampled_from(["reconstruct", "suite"]))
+def test_basis_contract_under_mutation(text, command):
+    """Every mutated basis file ends in an exit code of the contract and a report
+    whose basis hash is of the file's bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        basis, out = Path(tmp) / "basis.json", Path(tmp) / "report.json"
+        basis.write_text(text)
+        suite = ["--suite", "cartan"] if command == "suite" else []
+        code = run(command, FIXDIR / "r2.json", *suite, "--semigroup", f"basis:{basis}",
+                   "--out", out)
+        assert code in (0, 1, 2, 3)
+        assert json.loads(out.read_text())["inputs"][1]["sha256"] == _sha256(basis)
+
+
 # Loose tolerances make two routes to one value disagree: exit 4 with a report.
 CONSISTENCY_CASES = {
     "v4_pauli-tol-1e-300": ["reconstruct", FIXDIR / "v4_pauli.json", "--tol", "1e-300"],
@@ -756,8 +813,6 @@ def test_consistency_errors_exit_4(case, capsys):
 def test_a_maximal_restriction_that_fails_its_own_test_exits_4(monkeypatch, capsys):
     """The expectation suite builds max{b diagonal : b below n} from the restriction
     test; a candidate that test then rejects is two routes disagreeing, not bad input."""
-    from twistalg import suites
-
     monkeypatch.setattr(suites, "restriction_witness", lambda m, n: None)
     assert run("suite", FIXDIR / "z2.json", "--suite", "expectation") == 4
     error = json.loads(capsys.readouterr().out)["error"]
@@ -888,9 +943,9 @@ def _raises(exc):
 
 
 # Where each command's runners are replaced, and their names: the suites in
-# cli.SUITES, reconstruct's stages through the functions they look up by name in
+# suites.SUITES, reconstruct's stages through the functions they look up by name in
 # twistalg.reconstruction.
-RUNNERS = {"suite": (cli.SUITES, list(cli.SUITES)),
+RUNNERS = {"suite": (suites.SUITES, list(suites.SUITES)),
            "reconstruct": (vars(reconstruction), STAGE_FUNCTIONS)}
 
 

@@ -1,15 +1,17 @@
 """Source rules checked on the syntax tree of every module in src/twistalg.
 
 Every input document is parsed in one place, `fileio.read_object`: a second
-parser would need its own depth, encoding and type checks.  Every random
-generator is made in one place, `seeds.substream`, so that all sampling flows
-from the seed through named substreams.  The default seed, isomorphism budget
-and zero tolerance are each defined once, as a named constant, and reports
-hold only JSON types, so the writer needs no fallback encoder.  Exact rational
-turns are Fractions only in `twists`, where cocycles are given and shown, and
-README's library map names every module.  Groupoid tables are written out only
-by the few builders that need their own: groups and group actions go through
-`groupoid.group` and `groupoid.transformation_groupoid`."""
+parser would need its own depth, encoding and type checks.  Every input file
+is read once, by `fileio.read_input`, so the sha256 in a report is of the
+bytes that were parsed.  Every random generator is made in one place,
+`seeds.substream`, so that all sampling flows from the seed through named
+substreams.  The default seed, isomorphism budget and zero tolerance are each
+defined once, as a named constant, and reports hold only JSON types, so the
+writer needs no fallback encoder.  Exact rational turns are Fractions only in
+`twists`, where cocycles are given and shown, and README's library map names
+every module.  Groupoid tables are written out only by the few builders that
+need their own: groups and group actions go through `groupoid.group` and
+`groupoid.transformation_groupoid`."""
 
 import ast
 import re
@@ -148,22 +150,26 @@ def test_the_fraction_rule_sees_each_form():
     assert [_fraction_imports(ast.parse(text)) for text in forms] == [[1]] * len(forms)
 
 
-def _groupoid_builders(tree: ast.AST) -> set:
-    """The names of the functions that call FiniteGroupoid(...), None for a call
+def _callers(tree: ast.AST, matches) -> list:
+    """The name of the function around each call that matches, None for a call
     outside any function; a nested function is named for itself."""
-    out = set()
+    out = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and (
-                    getattr(child.func, "id", None) == "FiniteGroupoid"
-                    or getattr(child.func, "attr", None) == "FiniteGroupoid"):
-                out.add(owner)
+            if isinstance(child, ast.Call) and matches(child.func):
+                out.append(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                   else owner)
 
     visit(tree, None)
     return out
+
+
+def _groupoid_builders(tree: ast.AST) -> set:
+    """The names of the functions that call FiniteGroupoid(...)."""
+    return set(_callers(tree, lambda f: "FiniteGroupoid" in (getattr(f, "id", None),
+                                                             getattr(f, "attr", None))))
 
 
 def test_only_the_builders_write_groupoid_tables():
@@ -187,3 +193,22 @@ def test_the_library_map_names_every_module():
     table = text[text.index("## Library map"):].split("\n\n")[1]  # the block after the heading
     named = {name for row in table.splitlines() for name in re.findall(r"`twistalg\.(\w+)`", row)}
     assert named == {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
+def _file_reads(tree: ast.AST) -> list:
+    """The function around each call of .read_bytes(), .read_text() or the builtin
+    open(); os.read and os.fdopen, which the fan-out uses on its own pipes, are not."""
+    return _callers(tree, lambda f: getattr(f, "attr", None) in ("read_bytes", "read_text")
+                    or getattr(f, "id", None) == "open")
+
+
+def test_only_read_input_reads_a_file():
+    reads = [(module, owner) for module, tree in _trees().items() for owner in _file_reads(tree)]
+    assert reads == [("fileio", "read_input")]
+
+
+def test_the_file_read_rule_sees_each_form():
+    forms = ["p.read_bytes()", "Path(p).read_text(encoding='utf-8')", "open(p)",
+             "def f(p):\n    with open(p, 'rb') as f:\n        return f.read()"]
+    assert [_file_reads(ast.parse(text)) for text in forms] == [[None], [None], [None], ["f"]]
+    assert _file_reads(ast.parse("os.read(fd, 1)\nos.fdopen(fd, 'rb')\np.write_text(t)")) == []
