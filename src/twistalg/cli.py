@@ -244,6 +244,9 @@ def main(argv=None) -> int:
     if config.iso_budget < 0:
         sys.stderr.write("iso budget must not be negative\n")
         return EXIT_INPUT
+    if _basis_path(config) == "":
+        sys.stderr.write("--semigroup basis: names no file\n")
+        return EXIT_INPUT
     if args.command == "suite" and args.suite not in SUITE_NAMES:
         sys.stderr.write(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}\n")
         return EXIT_INPUT

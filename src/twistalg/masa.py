@@ -27,7 +27,6 @@ from .errors import ConsistencyError, InputError
 from .groupoid import is_effective
 from .relations import general_restriction_le
 from .semigroups import (
-    EXHAUSTIVE_SWEEP_ELEMENTS,
     SemigroupSpec,
     csum_closure,
     first_unsummable,
@@ -36,6 +35,8 @@ from .semigroups import (
     random_element,
     sample_members,
 )
+
+EXHAUSTIVE_SWEEP_ELEMENTS = 6  # support sweeps cover every pattern up to this size
 
 
 @dataclass(frozen=True)

@@ -289,13 +289,9 @@ def ball_witness(m: AlgebraElement, n: AlgebraElement,
     return _ball_certificate(m, n, witness).s
 
 
-def verify_ball_certificate(m: AlgebraElement, t: AlgebraElement, n: AlgebraElement) -> dict:
-    """The five ball-domination conditions: the domination certificate for m <_t n,
-    plus tn and nt positive and of norm at most 1."""
-    return _ball_checks(certify_domination(m, t, n))
-
-
 def _ball_checks(w: DominationWitness) -> dict:
+    """The five ball-domination conditions: w, the domination certificate for
+    m <_t n, plus tn and nt positive and of norm at most 1."""
     tol = w.m.ctx.zero_tol
     tn, nt = w.sn, w.ns
     positive = all(

@@ -28,10 +28,7 @@ from .algebra import (
     max_coeff_diff,
 )
 from .errors import ConsistencyError, InputError
-from .groupoid import is_bisection, iter_bisections, subset_inverse, subset_product
-
-EXHAUSTIVE_SWEEP_ELEMENTS = 6  # support sweeps cover every pattern up to this size
-SWEEP_PATTERN_CAP = 250  # bisection patterns in the summability pair sweep
+from .groupoid import is_bisection, subset_inverse, subset_product
 
 
 class BisectionBasis:
@@ -307,16 +304,13 @@ class CartanReport:
 
 
 def _bisection_pattern_pairs(ctx, spec):
-    """The first SWEEP_PATTERN_CAP unit-coefficient bisection members, for pair sweeps;
-    bisections are drawn lazily and no more than that are listed."""
-    out = []
-    for p in filter(None, iter_bisections(ctx.groupoid)):
-        elem = AlgebraElement(ctx, {g: 1 + 0j for g in p})
-        if membership(spec, elem):
-            out.append(elem)
-        if len(out) >= SWEEP_PATTERN_CAP:
-            break
-    return out
+    """The nonempty members of a basis spec's family, in member order, as unit-coefficient
+    elements for the pair sweep.  Other kinds sweep nothing: two unit-coefficient bisection
+    members are compatible exactly when their supports' union is a bisection, so their sum
+    is again a monomial, csum or normaliser member."""
+    if spec.kind != "basis":  # a csum spec carries a basis too
+        return []
+    return [AlgebraElement(ctx, {g: 1 + 0j for g in m}) for m in spec.basis.members if m]
 
 
 def _sweep_compatibility(ctx, sweep) -> np.ndarray:
@@ -339,11 +333,8 @@ def check_cartan(spec: SemigroupSpec, rng) -> CartanReport:
     random products; closure under scalars and multiplication by diagonal
     elements is exact for every supported kind, so generator-level checks
     suffice.  Span density is a rank computation.  Summability sweeps every pair
-    of the first SWEEP_PATTERN_CAP (250) unit-coefficient bisection members (all
-    of them when there are no more) with compatibility read off the supports, then
+    of a basis spec's family with compatibility read off the supports, then
     checks a sweep witness and 100 random pairs with the algebraic `compatible`.
-    The MASA and expectation support sweeps are exhaustive up to
-    EXHAUSTIVE_SWEEP_ELEMENTS (6) elements and sampled above.
     """
     ctx = spec.ctx
     draws = 100

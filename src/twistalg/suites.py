@@ -25,6 +25,7 @@ from .algebra import (
 from .errors import ConsistencyError
 from .groupoid import all_bisections
 from .masa import (
+    EXHAUSTIVE_SWEEP_ELEMENTS,
     cartan_criterion,
     commutant_basis,
     masa_implies_normalisers,
@@ -44,7 +45,6 @@ from .relations import (
     restriction_witness,
 )
 from .semigroups import (
-    EXHAUSTIVE_SWEEP_ELEMENTS,
     SemigroupSpec,
     check_cartan,
     random_coeff,

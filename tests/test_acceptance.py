@@ -34,7 +34,13 @@ from twistalg.masa import (
     masa_implies_normalisers,
     normalisers_imply_masa_contrapositive,
 )
-from twistalg.relations import ball_witness, certify_domination, dominates, predomain_interpolant, verify_ball_certificate
+from twistalg.relations import (
+    _ball_checks,
+    ball_witness,
+    certify_domination,
+    dominates,
+    predomain_interpolant,
+)
 from twistalg.seeds import substream
 from twistalg.semigroups import random_element, random_monomial
 from twistalg.suites import (
@@ -261,7 +267,7 @@ def test_criterion_10_ball_and_predomain_witnesses(ctxs):
             if dominates(m, n) is None:
                 continue
             t = ball_witness(m, n)
-            checks = verify_ball_certificate(m, t, n)
+            checks = _ball_checks(certify_domination(m, t, n))
             assert checks["ok"], (name, checks)
             family = [m, _random_restriction(n, rng, rescale=True),
                       _random_restriction(n, rng, rescale=True)]

@@ -38,6 +38,7 @@ from twistalg.groupoid import (
     disjoint_union,
     full_relation,
     group,
+    iter_bisections,
     klein_four,
     standard_fixtures,
 )
@@ -46,11 +47,14 @@ from twistalg.seeds import substream
 from twistalg.suites import norms_suite
 from twistalg.twists import complex_to_turns, turns_to_complex
 from twistalg.semigroups import (
+    BisectionBasis,
     SemigroupSpec,
     _bisection_pattern_pairs,
     _sweep_compatibility,
     check_cartan,
     compatible,
+    csum_closure,
+    membership,
     random_element,
 )
 
@@ -688,13 +692,36 @@ def _kernel_contexts():
     yield from _scaling_contexts()
 
 
+def _unit_bisections(ctx, count):
+    """The first `count` nonempty bisections, with unit coefficients."""
+    patterns = itertools.islice(filter(None, iter_bisections(ctx.groupoid)), count)
+    return [AlgebraElement(ctx, {g: 1 + 0j for g in p}) for p in patterns]
+
+
 @pytest.mark.parametrize("ctx", list(_kernel_contexts()), ids=lambda c: c.name)
 def test_support_rule_matches_compatible_on_the_sweep(ctx):
     """The Cartan sweep's compatibility, read off the supports, equals the
     algebraic compatible(m, n) on every ordered pair, the diagonal included."""
-    sweep = _bisection_pattern_pairs(ctx, SemigroupSpec.monomial(ctx))
+    sweep = _unit_bisections(ctx, 250)
     expect = np.array([[compatible(m, n) for n in sweep] for m in sweep], dtype=bool)
     assert np.array_equal(_sweep_compatibility(ctx, sweep), expect), ctx.name
+
+
+@pytest.mark.parametrize("ctx", list(_kernel_contexts()), ids=lambda c: c.name)
+def test_compatible_bisection_members_sum_to_members(ctx):
+    """Why only a basis spec is swept: for the monomial, csum and normaliser kinds
+    every compatible pair of unit-coefficient bisections sums to a member."""
+    gpd = ctx.groupoid
+    units = [list(c) for k in range(len(gpd.units) + 1)
+             for c in itertools.combinations(gpd.units, k)]
+    singletons = BisectionBasis(gpd, units + [[g] for g in gpd.elements])
+    specs = [SemigroupSpec.monomial(ctx), SemigroupSpec.normalizers(ctx),
+             csum_closure(SemigroupSpec.basis_restricted(ctx, singletons))]
+    pairs = [(m, n) for m, n in itertools.combinations(_unit_bisections(ctx, 60), 2)
+             if compatible(m, n)]
+    for spec in specs:
+        assert _bisection_pattern_pairs(ctx, spec) == [], spec.kind
+        assert all(membership(spec, m + n) for m, n in pairs), spec.kind
 
 
 def test_empty_sweep(rng):

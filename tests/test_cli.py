@@ -591,6 +591,16 @@ def test_a_named_pipe_is_refused_without_blocking(where, tmp_path):
     assert done.stderr == f"{fifo}: not a regular file\n"
 
 
+@pytest.mark.parametrize("command", [["reconstruct"], ["suite", "--suite", "cartan"]])
+def test_an_empty_basis_path_is_refused_by_name(command, tmp_path, capsys):
+    """`--semigroup basis:` with no path names the option, not the working directory."""
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(*command, FIXDIR / "r2.json", "--semigroup", "basis:", "--out", out) == 2
+    assert capsys.readouterr() == ("", "--semigroup basis: names no file\n")
+    assert not out.exists()
+
+
 def test_a_null_cocycle_is_untwisted(tmp_path):
     assert run("validate", _with_table(tmp_path, "cocycle", None)) == 0
 

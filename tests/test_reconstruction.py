@@ -620,7 +620,8 @@ def _unchecked_basis(ctx, members):
     """A BisectionBasis of exactly these members, without the closure checks
     that would refuse it."""
     basis = object.__new__(BisectionBasis)
-    basis.groupoid, basis.family = ctx.groupoid, frozenset(map(frozenset, members))
+    basis.groupoid, basis.members = ctx.groupoid, tuple(map(tuple, members))
+    basis.family = frozenset(map(frozenset, members))
     basis.covered = frozenset(itertools.chain.from_iterable(basis.family))
     return basis
 

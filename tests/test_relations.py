@@ -26,7 +26,7 @@ from twistalg.algebra import (
 )
 from twistalg.errors import ConsistencyError, InputError
 from twistalg.groupoid import cyclic_group, disjoint_union, full_relation, is_bisection
-from twistalg.relations import general_restriction_le, verify_ball_certificate
+from twistalg.relations import _ball_checks, general_restriction_le
 from twistalg.semigroups import random_monomial
 from twistalg.suites import _random_restriction, relations_suite
 
@@ -323,7 +323,7 @@ def test_ball_witness_projection_case(r2):
     t = ball_witness(m, n)
     assert set(t.support()) == {"(1,1)"}
     assert abs(cstar_norm(t * n) - 1) < 1e-12
-    assert verify_ball_certificate(m, t, n)["ok"]
+    assert _ball_checks(certify_domination(m, t, n))["ok"]
 
 
 def test_ball_witness_random_certificates(r3, rng):
@@ -334,13 +334,13 @@ def test_ball_witness_random_certificates(r3, rng):
         if dominates(m, n) is None:
             continue
         t = ball_witness(m, n)
-        checks = verify_ball_certificate(m, t, n)
+        checks = _ball_checks(certify_domination(m, t, n))
         assert checks["ok"], checks
         count += 1
 
 
 def test_ball_certificate_reuses_the_domination_products(r2, monkeypatch):
-    """verify_ball_certificate forms no product beyond those of certify_domination."""
+    """_ball_checks forms no product beyond those of certify_domination."""
     m = r2.delta("(1,1)")
     n = r2.delta("(1,1)") + 2 * r2.delta("(2,2)")
     t = ball_witness(m, n)
@@ -352,7 +352,7 @@ def test_ball_certificate_reuses_the_domination_products(r2, monkeypatch):
         return convolve(a, b)
 
     monkeypatch.setattr(algebra, "convolve", counting)
-    for check in (certify_domination, verify_ball_certificate):
+    for check in (certify_domination, lambda *mtn: _ball_checks(certify_domination(*mtn))):
         counts.append(0)
         check(m, t, n)
     assert counts[0] == counts[1] > 0
@@ -474,7 +474,7 @@ def test_witnesses_keep_coefficients_with_squares_below_the_tolerance(r2, coeff)
     and the predomain interpolant cut n*n at the tolerance squared."""
     m = r2.delta("(1,2)", coeff)
     n = m + r2.delta("(2,1)")
-    checks = verify_ball_certificate(m, ball_witness(m, n), n)
+    checks = _ball_checks(certify_domination(m, ball_witness(m, n), n))
     assert checks["ok"], checks
     # ball_witness's failure message embeds this dict, so it holds plain Python values.
     assert all(type(v) in (bool, float) for v in checks.values())
@@ -570,7 +570,7 @@ def test_relations_suite_certifies_each_ball_witness_once(monkeypatch, r2):
     predomain_interpolant; the suite does not check it again."""
     from twistalg import relations, suites
 
-    counts = {"_ball_certificate": 0, "_ball_checks": 0, "verify_ball_certificate": 0}
+    counts = {"_ball_certificate": 0, "_ball_checks": 0}
     for name in counts:
         original = getattr(relations, name)
 
@@ -583,7 +583,6 @@ def test_relations_suite_certifies_each_ball_witness_once(monkeypatch, r2):
     assert relations_suite(r2)["passed"]
     assert counts["_ball_certificate"] > 0
     assert counts["_ball_checks"] == counts["_ball_certificate"]
-    assert counts["verify_ball_certificate"] == 0
 
 
 def test_relations_suite_certifies_each_pair_once(monkeypatch, r3):

@@ -21,11 +21,10 @@ from twistalg.algebra import (
     is_positive,
     max_coeff_diff,
 )
-from twistalg.groupoid import all_bisections, full_relation
+from twistalg.groupoid import full_relation
 from twistalg.errors import ConsistencyError, InputError
 from twistalg.seeds import substream
 from twistalg.semigroups import (
-    SWEEP_PATTERN_CAP,
     _bisection_pattern_pairs,
     _in_span,
     _orthonormal_basis,
@@ -126,29 +125,21 @@ def _trivial_context(gpd):
     return TwistedAlgebra(gpd, Cocycle(gpd, {}), name=gpd.name)
 
 
-def test_the_sweep_draws_no_more_bisections_than_it_keeps(monkeypatch):
-    """R8 has 1,441,729 bisections; the monomial sweep keeps the first
-    SWEEP_PATTERN_CAP non-empty ones, so it draws those and the empty one."""
-    drawn = []
-    lazy = semigroups.iter_bisections
-
-    def counting(g):
-        for b in lazy(g):
-            drawn.append(b)
-            yield b
-
-    monkeypatch.setattr(semigroups, "iter_bisections", counting)
+def test_a_basis_sweep_lists_every_member_and_no_cap():
+    """R8's 256 unit subsets plus {(7,8)} and {(8,7)}: the sweep lists the 257
+    nonempty members, so it reaches {(7,8)} and the witness is the same pair at
+    every seed."""
     ctx = _trivial_context(full_relation(8))
-    sweep = _bisection_pattern_pairs(ctx, SemigroupSpec.monomial(ctx))
-    assert len(sweep) == SWEEP_PATTERN_CAP and len(drawn) <= SWEEP_PATTERN_CAP + 1
-    assert [frozenset(m.coeffs) for m in sweep] == [b for b in drawn if b]
-
-
-def test_the_sweep_keeps_the_first_members_in_enumeration_order():
-    ctx = _trivial_context(full_relation(5))
-    sweep = _bisection_pattern_pairs(ctx, SemigroupSpec.monomial(ctx))
-    first = [b for b in all_bisections(ctx.groupoid) if b][:SWEEP_PATTERN_CAP]
-    assert [frozenset(m.coeffs) for m in sweep] == first
+    units = list(ctx.groupoid.units)
+    subsets = [list(c) for k in range(len(units) + 1) for c in itertools.combinations(units, k)]
+    basis = BisectionBasis(ctx.groupoid, subsets + [["(7,8)"], ["(8,7)"]])
+    spec = SemigroupSpec.basis_restricted(ctx, basis)
+    assert len(basis.members) == 258
+    sweep = _bisection_pattern_pairs(ctx, spec)
+    assert [tuple(m.coeffs) for m in sweep] == [m for m in basis.members if m]
+    pair = tuple(repr(ctx.delta(g)) for g in ("(1,1)", "(7,8)"))
+    for seed in range(8):
+        assert check_cartan(spec, substream(seed, "cap")).summable_witness == pair, seed
 
 
 def test_sweep_witness_is_rechecked_algebraically(r2, monkeypatch):
@@ -157,7 +148,8 @@ def test_sweep_witness_is_rechecked_algebraically(r2, monkeypatch):
     monkeypatch.setattr(semigroups, "_sweep_compatibility",
                         lambda ctx, sweep: np.ones((len(sweep), len(sweep)), dtype=bool))
     with pytest.raises(ConsistencyError, match="support rule and algebraic"):
-        check_cartan(SemigroupSpec.monomial(r2), substream(8, "recheck"))
+        check_cartan(SemigroupSpec.basis_restricted(r2, singleton_basis(r2)),
+                     substream(8, "recheck"))
 
 
 def test_explicit_spec_fails_dense_span(r2):

@@ -11,7 +11,8 @@ writer needs no fallback encoder.  Exact rational turns are Fractions only in
 `twists`, where cocycles are given and shown, and README's library map names
 every module.  Groupoid tables are written out only by the few builders that
 need their own: groups and group actions go through `groupoid.group` and
-`groupoid.transformation_groupoid`."""
+`groupoid.transformation_groupoid`.  Only `groupoid` and
+`suites.expectation_suite` enumerate bisections: R8 alone has 1,441,729."""
 
 import ast
 import re
@@ -212,3 +213,23 @@ def test_the_file_read_rule_sees_each_form():
              "def f(p):\n    with open(p, 'rb') as f:\n        return f.read()"]
     assert [_file_reads(ast.parse(text)) for text in forms] == [[None], [None], [None], ["f"]]
     assert _file_reads(ast.parse("os.read(fd, 1)\nos.fdopen(fd, 'rb')\np.write_text(t)")) == []
+
+
+def _bisection_walks(tree: ast.AST) -> list:
+    """The function around each call of iter_bisections or all_bisections."""
+    names = {"iter_bisections", "all_bisections"}
+    return _callers(tree, lambda f: bool({getattr(f, "id", None), getattr(f, "attr", None)}
+                                         & names))
+
+
+def test_only_the_groupoid_and_the_expectation_suite_walk_bisections():
+    walks = {(module, owner) for module, tree in _trees().items()
+             for owner in _bisection_walks(tree) if module != "groupoid"}
+    assert walks == {("suites", "expectation_suite")}
+
+
+def test_the_bisection_walk_rule_sees_each_form():
+    forms = {"for b in all_bisections(g):\n    pass": [None],
+             "def f(g):\n    return groupoid.iter_bisections(g)": ["f"],
+             "def f(g, s):\n    return is_bisection(g, s)": []}
+    assert {text: _bisection_walks(ast.parse(text)) for text in forms} == forms
